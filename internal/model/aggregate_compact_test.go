@@ -68,7 +68,7 @@ func TestAggregateRowsSkipOffCoverageSources(t *testing.T) {
 	l.Move(3, Alloc{Server: 3, Channel: 0})
 
 	// Probe receiver 0 only: its row materializes, others stay nil.
-	l.interCell(0, Alloc{Server: 0, Channel: 1})
+	l.interCellOf(0, Alloc{Server: 0, Channel: 1})
 	d := l.agg[0].Load()
 	if d == nil {
 		t.Fatal("probed receiver row not materialized")
@@ -100,7 +100,7 @@ func TestAggregateRowsSkipOffCoverageSources(t *testing.T) {
 			for _, i := range in.Top.Coverage[j] {
 				for x := 0; x < in.Top.Servers[i].Channels; x++ {
 					a := Alloc{Server: i, Channel: x}
-					fa, fr := float64(l.interCell(j, a)), float64(ref.interCell(j, a))
+					fa, fr := float64(l.interCellOf(j, a)), float64(ref.interCellOf(j, a))
 					if math.Abs(fa-fr) > 1e-9*math.Max(1e-30, fr) {
 						t.Fatalf("interCell(%d,%v): compact %g != naive %g", j, a, fa, fr)
 					}
@@ -117,7 +117,7 @@ func TestAggregateRowsSkipOffCoverageSources(t *testing.T) {
 	// through the single-cell fallback and must still match the naive
 	// walk bit-for-bit — the fallback IS the naive per-cell sum.
 	for _, a := range []Alloc{{Server: 2, Channel: 0}, {Server: 3, Channel: 1}} {
-		fa, fr := float64(l.interCell(0, a)), float64(ref.interCell(0, a))
+		fa, fr := float64(l.interCellOf(0, a)), float64(ref.interCellOf(0, a))
 		if fa != fr {
 			t.Fatalf("off-coverage interCell(0,%v): fallback %g != naive %g", a, fa, fr)
 		}

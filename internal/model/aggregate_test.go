@@ -6,7 +6,15 @@ import (
 	"testing"
 
 	"idde/internal/rng"
+	"idde/internal/units"
 )
+
+// interCellOf reads the Eq. 2 inter-cell term through the evaluator
+// entry Benefit and SINR use, whichever interference path is active.
+func (l *Ledger) interCellOf(j int, a Alloc) units.Watts {
+	_, f := l.link(j, a)
+	return f
+}
 
 // randomMove draws a random decision for user j: mostly a covering
 // (server, channel), occasionally Unallocated.
@@ -52,8 +60,8 @@ func TestAggregateInterCellMatchesNaive(t *testing.T) {
 				}
 				i := vs[s.IntN(len(vs))]
 				a := Alloc{Server: i, Channel: s.IntN(in.Top.Servers[i].Channels)}
-				fa := float64(agg.interCell(j, a))
-				fr := float64(ref.interCell(j, a))
+				fa := float64(agg.interCellOf(j, a))
+				fr := float64(ref.interCellOf(j, a))
 				if math.Abs(fa-fr) > 1e-9*math.Max(1e-30, fr) {
 					t.Fatalf("seed %d step %d: interCell(%d,%v) aggregate %g != naive %g",
 						seed, step, j, a, fa, fr)
@@ -102,7 +110,7 @@ func TestAggregateEmptiedChannelIsExactlyZero(t *testing.T) {
 		l.Move(j, Alloc{Server: i, Channel: 0})
 		joined = append(joined, j)
 		// Force the aggregate rows to materialize mid-churn.
-		l.interCell(j, Alloc{Server: i, Channel: 0})
+		l.interCellOf(j, Alloc{Server: i, Channel: 0})
 	}
 	s.Shuffle(len(joined), func(a, b int) { joined[a], joined[b] = joined[b], joined[a] })
 	for _, j := range joined {
@@ -113,7 +121,7 @@ func TestAggregateEmptiedChannelIsExactlyZero(t *testing.T) {
 	for _, j := range joined {
 		for _, i := range in.Top.Coverage[j] {
 			for x := 0; x < in.Top.Servers[i].Channels; x++ {
-				if f := float64(l.interCell(j, Alloc{Server: i, Channel: x})); f != 0 {
+				if f := float64(l.interCellOf(j, Alloc{Server: i, Channel: x})); f != 0 {
 					t.Fatalf("emptied channel (%d,%d) reports interference %g for user %d", i, x, f, j)
 				}
 			}
@@ -167,7 +175,7 @@ func TestSetNaiveInterferenceRoundTrip(t *testing.T) {
 		j++
 	}
 	a := Alloc{Server: in.Top.Coverage[j][0], Channel: 0}
-	before := float64(l.interCell(j, a)) // builds aggregate rows
+	before := float64(l.interCellOf(j, a)) // builds aggregate rows
 	l.SetNaiveInterference(true)
 	// Mutate while the aggregates are disabled: rows must not be
 	// maintained, and must be rebuilt after re-enabling.
@@ -175,9 +183,9 @@ func TestSetNaiveInterferenceRoundTrip(t *testing.T) {
 		q := s.IntN(in.M())
 		l.Move(q, randomMove(in, q, s))
 	}
-	naive := float64(l.interCell(j, a))
+	naive := float64(l.interCellOf(j, a))
 	l.SetNaiveInterference(false)
-	rebuilt := float64(l.interCell(j, a))
+	rebuilt := float64(l.interCellOf(j, a))
 	if math.Abs(rebuilt-naive) > 1e-9*math.Max(1e-30, naive) {
 		t.Fatalf("rebuilt aggregate %g != naive %g (stale rows?)", rebuilt, naive)
 	}

@@ -8,9 +8,10 @@ import (
 	"idde/internal/rng"
 )
 
-// Steady-state zero-allocation guards for the two hot paths the memory
-// baseline tracks (BENCH_mem.json): Ledger benefit evaluation with warm
-// aggregate rows, and DeliveryOracle.GainOf for both cohort oracles.
+// Steady-state zero-allocation guards for the hot paths the memory
+// baseline tracks (BENCH_mem.json): Ledger benefit, rate and SINR
+// evaluation with warm aggregate rows, Ledger.Move maintaining them, and
+// DeliveryOracle.GainOf for both cohort oracles.
 // The race detector instruments allocations, so the file is excluded
 // from -race runs; the plain tier-1 `go test ./...` always runs it, and
 // the CI bench-smoke re-checks the same paths through iddebench
@@ -47,6 +48,34 @@ func TestBenefitSteadyStateZeroAllocs(t *testing.T) {
 		bi = (bi + 1) % len(js)
 	}); avg != 0 {
 		t.Fatalf("Ledger.Benefit allocates %.2f allocs/op in steady state, want 0", avg)
+	}
+}
+
+func TestRateSINRSteadyStateZeroAllocs(t *testing.T) {
+	l, _, js, as := guardFixture(t)
+	var bi int
+	if avg := testing.AllocsPerRun(200, func() {
+		_ = l.Rate(js[bi], as[bi])
+		_ = l.SINR(js[bi], as[bi])
+		bi = (bi + 1) % len(js)
+	}); avg != 0 {
+		t.Fatalf("Ledger.Rate/SINR allocate %.2f allocs/op in steady state, want 0", avg)
+	}
+}
+
+// TestMoveSteadyStateZeroAllocs pins Move's upkeep of the warm rows:
+// once the occupant lists have grown to hold the probed decisions,
+// moving users back and forth must not allocate.
+func TestMoveSteadyStateZeroAllocs(t *testing.T) {
+	l, alloc, js, as := guardFixture(t)
+	var bi int
+	if avg := testing.AllocsPerRun(200, func() {
+		j := js[bi]
+		l.Move(j, as[bi])
+		l.Move(j, alloc[j])
+		bi = (bi + 1) % len(js)
+	}); avg != 0 {
+		t.Fatalf("Ledger.Move allocates %.2f allocs/op in steady state, want 0", avg)
 	}
 }
 

@@ -91,7 +91,7 @@ func TestBudgetedInterCellBitIdentical(t *testing.T) {
 				}
 				i := vs[s.IntN(len(vs))]
 				a := Alloc{Server: i, Channel: s.IntN(in.Top.Servers[i].Channels)}
-				if fa, fb := full.interCell(j, a), tight.interCell(j, a); fa != fb {
+				if fa, fb := full.interCellOf(j, a), tight.interCellOf(j, a); fa != fb {
 					t.Fatalf("seed %d step %d: interCell(%d,%v) budget=2 %v != unbounded %v",
 						seed, step, j, a, fb, fa)
 				}
@@ -136,13 +136,13 @@ func TestEvictRebuildBitIdentical(t *testing.T) {
 		i := vs[s.IntN(len(vs))]
 		a := Alloc{Server: i, Channel: s.IntN(in.Top.Servers[i].Channels)}
 		probes = append(probes, probe{j, a})
-		want = append(want, float64(l.interCell(j, a)))
+		want = append(want, float64(l.interCellOf(j, a)))
 	}
 
 	check := func(label string) {
 		t.Helper()
 		for pi, p := range probes {
-			if got := float64(l.interCell(p.j, p.a)); got != want[pi] {
+			if got := float64(l.interCellOf(p.j, p.a)); got != want[pi] {
 				t.Fatalf("%s: interCell(%d,%v) = %g, want %g", label, p.j, p.a, got, want[pi])
 			}
 		}

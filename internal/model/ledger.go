@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -21,10 +22,19 @@ import (
 // Σ_{t∈users[o][x]} Gain[i][t]·p_t, so the inter-cell term F of Eq. (2)
 // is |V_j| lookups instead of a walk over every co-channel occupant.
 // Receiver rows are built lazily (one-shot evaluations never pay for
-// them) and maintained in O(built receivers) per Move. The naive
+// them). A Move touches only the rows of receivers that co-cover the
+// mover's source or destination server — the only rows holding a cell
+// for either — so its cost tracks local density, not N. The naive
 // reference scan remains available via SetNaiveInterference for
 // differential tests and drift-sensitive debugging; the two differ only
 // in floating-point summation order.
+//
+// The serving gain g = Gain[i][j] of every in-coverage decision is
+// static, so it is read from a per-ledger table indexed like
+// Coverage[j] rather than searched for in the CSR rows on every
+// evaluation. The table is built from the ledger's own topology because
+// shard tile views share one Instance's gains under restricted coverage
+// lists.
 //
 // # Aggregate-row memory
 //
@@ -45,6 +55,10 @@ type Ledger struct {
 	users [][][]int
 	// power[i][x] is Σ p_t over those users.
 	power [][]units.Watts
+	// covGain[j][k] is GainAt(Coverage[j][k], j): the serving gain of
+	// every in-coverage decision. The rows are views into one backing
+	// slice.
+	covGain [][]float64
 
 	// agg[i] points at the lazily built receiver-i aggregate row:
 	// vals[srcOff[o]+x] = Σ_{t∈users[o][x]} Gain[i][t]·p_t, restricted
@@ -57,9 +71,11 @@ type Ledger struct {
 	aggMu sync.Mutex
 	// srcSets[i] caches receiver i's co-covering source set as a bitset
 	// with the total channel width. It is profile-independent, built at
-	// the first row build and kept across evictions, so a rebuild costs
-	// O(N + width·occupancy) instead of re-deriving co-coverage from
-	// the Covered/Coverage lists (O(|Covered[i]|·|V_j|)).
+	// the first row build (or the first Move that needs server i's
+	// co-covering receivers — the same set, by symmetry) and kept across
+	// evictions, so a rebuild costs O(N + width·occupancy) instead of
+	// re-deriving co-coverage from the Covered/Coverage lists
+	// (O(|Covered[i]|·|V_j|)).
 	srcSets []atomic.Pointer[aggSrcSet]
 
 	// arenaVals/arenaOffs back the row spans; rowPool recycles the row
@@ -115,6 +131,21 @@ func NewLedger(in *Instance, alloc Allocation) *Ledger {
 			l.users[d.Server][d.Channel] = append(l.users[d.Server][d.Channel], j)
 			l.power[d.Server][d.Channel] += in.Top.Users[j].Power
 		}
+	}
+	cov := in.Top.Coverage
+	var width int
+	for _, vs := range cov {
+		width += len(vs)
+	}
+	flat := make([]float64, width)
+	l.covGain = make([][]float64, len(cov))
+	for j, vs := range cov {
+		row := flat[:len(vs):len(vs)]
+		flat = flat[len(vs):]
+		for k, i := range vs {
+			row[k] = in.GainAt(i, j)
+		}
+		l.covGain[j] = row
 	}
 	return l
 }
@@ -175,10 +206,12 @@ func (l *Ledger) Current(j int) Alloc { return l.alloc[j] }
 func (l *Ledger) Occupancy(i, x int) int { return len(l.users[i][x]) }
 
 // Move reassigns user j to decision a (possibly Unallocated),
-// maintaining the channel registries and any built aggregate rows in
-// O(built receivers). Move must not race with concurrent evaluations
-// (the game engine serializes Apply) — which also makes it the
-// quiescent point where evicted rows' spans are safe to recycle.
+// maintaining the channel registries and the resident aggregate rows of
+// the receivers that co-cover the old or new server; a ledger with no
+// resident row pays for the registries alone. Move must not race with
+// concurrent evaluations (the game engine serializes Apply) — which
+// also makes it the quiescent point where evicted rows' spans are safe
+// to recycle.
 func (l *Ledger) Move(j int, a Alloc) {
 	cur := l.alloc[j]
 	if cur == a {
@@ -230,10 +263,12 @@ type aggSrcSet struct {
 func (s *aggSrcSet) has(o int) bool { return s.bits[o>>6]&(1<<(uint(o)&63)) != 0 }
 
 // aggMove folds user j's contribution Gain[i][j]·p_j out of (from) and
-// into (to) every built receiver row. Cells outside a row's co-covering
-// source set are simply absent and skipped.
+// into (to) the resident receiver rows. Co-coverage is symmetric — row
+// i has a cell for source o exactly when i ∈ srcSet(o) — so only the
+// receivers in srcSet(from.Server) ∪ srcSet(to.Server) can hold a cell
+// to update; every other row is left unread.
 func (l *Ledger) aggMove(j int, from, to Alloc) {
-	if l.naive {
+	if l.naive || l.aggResident.Load() == 0 {
 		return
 	}
 	// Invariant: a built cell always equals the left-to-right fold of
@@ -245,31 +280,57 @@ func (l *Ledger) aggMove(j int, from, to Alloc) {
 	// which can dwarf the remaining sum and flip argmax decisions
 	// against the reference path on near-empty channels.
 	var fromUsers []int
+	var fromBits, toBits []uint64
 	if from.Allocated() {
 		fromUsers = l.users[from.Server][from.Channel]
+		fromBits = l.srcSet(from.Server).bits
+	}
+	if to.Allocated() {
+		toBits = l.srcSet(to.Server).bits
 	}
 	p := float64(l.in.Top.Users[j].Power)
-	for i := range l.agg {
-		d := l.agg[i].Load()
-		if d == nil {
-			continue
+	for w := 0; w < (len(l.agg)+63)/64; w++ {
+		var word uint64
+		if fromBits != nil {
+			word = fromBits[w]
 		}
-		gi := l.in.GainRow(i)
-		if from.Allocated() {
-			if off := d.srcOff[from.Server]; off >= 0 {
-				var sum float64
-				for _, t := range fromUsers {
-					sum += gi.At(t) * float64(l.in.Top.Users[t].Power)
-				}
-				d.vals[int(off)+from.Channel] = sum
+		if toBits != nil {
+			word |= toBits[w]
+		}
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			d := l.agg[i].Load()
+			if d == nil {
+				continue
 			}
-		}
-		if to.Allocated() {
-			if off := d.srcOff[to.Server]; off >= 0 {
-				d.vals[int(off)+to.Channel] += gi.At(j) * p
+			gi := l.in.GainRow(i)
+			if from.Allocated() {
+				if off := d.srcOff[from.Server]; off >= 0 {
+					var sum float64
+					for _, t := range fromUsers {
+						sum += gi.At(t) * float64(l.in.Top.Users[t].Power)
+					}
+					d.vals[int(off)+from.Channel] = sum
+				}
+			}
+			if to.Allocated() {
+				if off := d.srcOff[to.Server]; off >= 0 {
+					d.vals[int(off)+to.Channel] += gi.At(j) * p
+				}
 			}
 		}
 	}
+}
+
+// srcSet returns server o's co-covering source set, deriving it under
+// aggMu on first use.
+func (l *Ledger) srcSet(o int) *aggSrcSet {
+	if ss := l.srcSets[o].Load(); ss != nil {
+		return ss
+	}
+	l.aggMu.Lock()
+	defer l.aggMu.Unlock()
+	return l.srcSetLocked(o)
 }
 
 // srcSetLocked returns receiver i's co-covering source set, deriving it
@@ -443,23 +504,44 @@ func (l *Ledger) remove(j int, a Alloc) {
 	}
 }
 
+// servingGain reports g = Gain[a.Server][j] and whether a.Server covers
+// j. In-coverage gains come from the covGain table; off-coverage
+// hypotheticals fall back to the instance lookup.
+func (l *Ledger) servingGain(j int, a Alloc) (g float64, inCov bool) {
+	for k, i := range l.in.Top.Coverage[j] {
+		if i == a.Server {
+			return l.covGain[j][k], true
+		}
+	}
+	return l.in.GainAt(a.Server, j), false
+}
+
+// link evaluates the two link quantities of Eq. (2) for user j under
+// decision a: the serving gain g and the inter-cell interference F. The
+// naive reference reads g from the instance, not the table, so the
+// differential tests compare the table against the lookup too.
+func (l *Ledger) link(j int, a Alloc) (float64, units.Watts) {
+	if l.naive {
+		return l.in.GainAt(a.Server, j), l.interCellNaive(j, a)
+	}
+	g, inCov := l.servingGain(j, a)
+	return g, l.interCell(j, a, g, inCov)
+}
+
 // interCell computes F_{i,x,j} of Eq. (2): the interference measured at
 // server i on channel x from users allocated to channel x of the *other*
 // servers covering user j, under the hypothesis that j itself sits at
-// (i,x) (so j never self-interferes). The default path reads one
-// pre-aggregated sum per covering server — O(|V_j|) — and subtracts j's
-// own contribution where j currently occupies a summed channel. Under a
-// row budget, misses on cold receivers are served by interCellFold
-// instead of faulting the row in.
-func (l *Ledger) interCell(j int, a Alloc) units.Watts {
-	if l.naive {
-		return l.interCellNaive(j, a)
-	}
+// (i,x) (so j never self-interferes). It reads one pre-aggregated sum
+// per covering server — O(|V_j|) — and subtracts j's own contribution
+// g·p_j where j currently occupies a summed channel. Under a row
+// budget, misses on cold receivers are served by interCellFold instead
+// of faulting the row in.
+func (l *Ledger) interCell(j int, a Alloc, g float64, inCov bool) units.Watts {
 	d := l.agg[a.Server].Load()
 	if d == nil {
 		if l.aggBudget > 0 {
 			if d = l.aggFault(a.Server); d == nil {
-				return l.interCellFold(j, a)
+				return l.interCellFold(j, a, g, inCov)
 			}
 		} else {
 			d = l.aggRow(a.Server)
@@ -467,13 +549,13 @@ func (l *Ledger) interCell(j int, a Alloc) units.Watts {
 	} else if l.aggBudget > 0 && !d.ref.Load() {
 		d.ref.Store(true)
 	}
-	return l.interCellRow(j, a, d)
+	return l.interCellRow(j, a, d, g)
 }
 
-// interCellRow reads the Eq. 2 inter-cell term out of a resident row.
-func (l *Ledger) interCellRow(j int, a Alloc, d *aggRowData) units.Watts {
+// interCellRow reads the Eq. 2 inter-cell term out of a resident row;
+// g is Gain[a.Server][j], the weight of j's own contribution.
+func (l *Ledger) interCellRow(j int, a Alloc, d *aggRowData, g float64) units.Watts {
 	cur := l.alloc[j]
-	gr := l.in.GainRow(a.Server)
 	var f float64
 	for _, o := range l.in.Top.Coverage[j] {
 		if o == a.Server || a.Channel >= len(l.users[o]) {
@@ -486,6 +568,7 @@ func (l *Ledger) interCellRow(j int, a Alloc, d *aggRowData) units.Watts {
 			// Walk the single (o, channel) cell directly; j can't be in
 			// it under the game's coverage-constrained moves, but skip
 			// it anyway for arbitrary-caller safety.
+			gr := l.in.GainRow(a.Server)
 			for _, t := range l.users[o][a.Channel] {
 				if t == j {
 					continue
@@ -496,7 +579,7 @@ func (l *Ledger) interCellRow(j int, a Alloc, d *aggRowData) units.Watts {
 		}
 		f += d.vals[int(off)+a.Channel]
 		if cur.Server == o && cur.Channel == a.Channel {
-			f -= gr.At(j) * float64(l.in.Top.Users[j].Power)
+			f -= g * float64(l.in.Top.Users[j].Power)
 		}
 	}
 	if f < 0 {
@@ -514,16 +597,9 @@ func (l *Ledger) interCellRow(j int, a Alloc, d *aggRowData) units.Watts {
 // in-coverage case (every probe the game issues) maps one-to-one onto
 // row cells; the off-coverage corner cannot distinguish present from
 // absent cells locally and forces the row in instead.
-func (l *Ledger) interCellFold(j int, a Alloc) units.Watts {
-	inCov := false
-	for _, o := range l.in.Top.Coverage[j] {
-		if o == a.Server {
-			inCov = true
-			break
-		}
-	}
+func (l *Ledger) interCellFold(j int, a Alloc, g float64, inCov bool) units.Watts {
 	if !inCov {
-		return l.interCellRow(j, a, l.aggRow(a.Server))
+		return l.interCellRow(j, a, l.aggRow(a.Server), g)
 	}
 	l.aggFallbacks.Add(1)
 	cur := l.alloc[j]
@@ -539,7 +615,7 @@ func (l *Ledger) interCellFold(j int, a Alloc) units.Watts {
 		}
 		f += sum
 		if cur.Server == o && cur.Channel == a.Channel {
-			f -= gi.At(j) * float64(l.in.Top.Users[j].Power)
+			f -= g * float64(l.in.Top.Users[j].Power)
 		}
 	}
 	if f < 0 {
@@ -656,8 +732,8 @@ func (l *Ledger) SINR(j int, a Alloc) float64 {
 	if !a.Allocated() {
 		return 0
 	}
-	g := l.in.GainAt(a.Server, j)
-	return l.in.Radio.SINR(g, l.in.Top.Users[j].Power, l.intraOther(j, a), l.interCell(j, a))
+	g, f := l.link(j, a)
+	return l.in.Radio.SINR(g, l.in.Top.Users[j].Power, l.intraOther(j, a), f)
 }
 
 // Rate evaluates Eqs. (3)–(4) — the Shannon rate capped at R_{j,max} —
@@ -682,7 +758,7 @@ func (l *Ledger) RateIgnoringInterCell(j int, a Alloc) units.Rate {
 	if !a.Allocated() {
 		return 0
 	}
-	g := l.in.GainAt(a.Server, j)
+	g, _ := l.servingGain(j, a)
 	sinr := l.in.Radio.SINR(g, l.in.Top.Users[j].Power, l.intraOther(j, a), 0)
 	b := l.in.Top.Servers[a.Server].Bandwidth
 	return radio.CapRate(radio.ShannonRate(b, sinr), l.in.Top.Users[j].MaxRate)
@@ -701,10 +777,10 @@ func (l *Ledger) Benefit(j int, a Alloc) float64 {
 	if !a.Allocated() {
 		return 0
 	}
-	g := l.in.GainAt(a.Server, j)
+	g, f := l.link(j, a)
 	p := float64(l.in.Top.Users[j].Power)
 	intra := float64(l.intraOther(j, a)) + p // includes u_j per Eq. 12
-	den := g*intra + float64(l.interCell(j, a))
+	den := g*intra + float64(f)
 	if den <= 0 {
 		return 0
 	}

@@ -55,7 +55,7 @@ func tinyInstance(t *testing.T) *Instance {
 }
 
 // genInstance builds a generated mid-size instance for property tests.
-func genInstance(t *testing.T, n, m, k int, seed uint64) *Instance {
+func genInstance(t testing.TB, n, m, k int, seed uint64) *Instance {
 	t.Helper()
 	s := rng.New(seed)
 	top, err := topology.Generate(topology.DefaultGen(n, m, 1.2), s.Split("top"))
