@@ -8,7 +8,6 @@
 package rng
 
 import (
-	"hash/fnv"
 	"math"
 	"math/rand"
 )
@@ -22,12 +21,33 @@ import (
 // goroutine instead — splitting is cheap and collision-resistant.
 type Stream struct {
 	seed uint64
-	r    *rand.Rand
+	src  lazySource
+	// r serves every draw: own until the source hands over to its
+	// register, then a Rand over the register (see lazySource.reader).
+	r *rand.Rand
+	// own is the Rand over src, kept so SplitNInto can re-root the
+	// stream without allocating.
+	own *rand.Rand
 }
 
-// New returns a Stream rooted at the given master seed.
+// New returns a Stream rooted at the given master seed. Its draws are
+// those of rand.NewSource(int64(mix(seed))). The source is seeded lazily
+// (see lazySource), so creating a stream does no seeding work.
 func New(seed uint64) *Stream {
-	return &Stream{seed: seed, r: rand.New(rand.NewSource(int64(mix(seed))))}
+	s := &Stream{}
+	s.reset(seed)
+	return s
+}
+
+// reset re-roots s at seed.
+func (s *Stream) reset(seed uint64) {
+	s.seed = seed
+	s.src.Seed(int64(mix(seed)))
+	if s.own == nil {
+		s.own = rand.New(&s.src)
+	}
+	s.r = s.own
+	s.src.reader = &s.r
 }
 
 // Split derives an independent child stream identified by label. The
@@ -35,25 +55,25 @@ func New(seed uint64) *Stream {
 // the same child, and distinct labels yield (with overwhelming
 // probability) unrelated sequences.
 func (s *Stream) Split(label string) *Stream {
-	h := fnv.New64a()
-	var buf [8]byte
-	putUint64(buf[:], s.seed)
-	h.Write(buf[:])
-	h.Write([]byte(label))
-	return New(h.Sum64())
+	return New(fnvString(fnvUint64(fnvOffset, s.seed), label))
 }
 
 // SplitN derives an independent child stream identified by label and an
 // index, for per-item or per-replica streams.
 func (s *Stream) SplitN(label string, n int) *Stream {
-	h := fnv.New64a()
-	var buf [8]byte
-	putUint64(buf[:], s.seed)
-	h.Write(buf[:])
-	h.Write([]byte(label))
-	putUint64(buf[:], uint64(n))
-	h.Write(buf[:])
-	return New(h.Sum64())
+	return New(s.splitNSeed(label, n))
+}
+
+// SplitNInto re-roots dst as the child SplitN(label, n) would return,
+// reusing dst's memory: the per-request streams of a serving loop cost
+// no allocation. dst may be a zero Stream. Whatever dst drew before is
+// abandoned, and a Zipf built on dst must not be used afterwards.
+func (s *Stream) SplitNInto(dst *Stream, label string, n int) {
+	dst.reset(s.splitNSeed(label, n))
+}
+
+func (s *Stream) splitNSeed(label string, n int) uint64 {
+	return fnvUint64(fnvString(fnvUint64(fnvOffset, s.seed), label), uint64(n))
 }
 
 // Seed reports the seed that identifies this stream.
@@ -150,16 +170,27 @@ func (s *Stream) NewZipf(skew float64, n int) *Zipf {
 // popular.
 func (z *Zipf) Draw() int { return int(z.z.Uint64()) }
 
-func putUint64(b []byte, v uint64) {
-	_ = b[7]
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-	b[5] = byte(v >> 40)
-	b[6] = byte(v >> 48)
-	b[7] = byte(v >> 56)
+// FNV-1a (64-bit), folded inline so that a split allocates nothing
+// beyond the child stream. The split seeds hash the parent seed's eight
+// little-endian bytes, then the label's bytes, then (SplitN) the index's
+// eight little-endian bytes.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+func fnvUint64(h, v uint64) uint64 {
+	for b := 0; b < 64; b += 8 {
+		h = (h ^ (v >> b & 0xff)) * fnvPrime
+	}
+	return h
+}
+
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
+	}
+	return h
 }
 
 // mix is SplitMix64's finalizer; it decorrelates adjacent seeds so that

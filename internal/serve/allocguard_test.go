@@ -42,7 +42,7 @@ func TestSamplingOffPathZeroAllocs(t *testing.T) {
 				t.Fatal("rate-0 recorder sampled")
 			}
 			p := pairs[i%len(pairs)]
-			evalRequest(v, p[0], p[1], s, nil)
+			evalRequest(v, p[0], p[1], s, nil, nil)
 			i++
 		})
 	}
@@ -50,5 +50,41 @@ func TestSamplingOffPathZeroAllocs(t *testing.T) {
 	gated := measure(obs.NewFlightRecorder(4, 64, 0, 1))
 	if gated != baseline {
 		t.Fatalf("sampling-off gate costs %.2f allocs/op (baseline %.2f), want 0 extra", gated, baseline)
+	}
+}
+
+// TestRequestPathZeroAllocs pins the healthy served request at zero
+// allocations, on the path the soak loop takes: the per-request stream
+// re-rooted by SplitNInto, then evalRequest with the slot's previous
+// visit list passed back in. The lazily seeded source builds no
+// register for a stream this short. An eagerly seeded 4.9 KB register,
+// a fresh Stream or rand.Rand per request, an fnv hasher or a label
+// copy coming back fails this test.
+func TestRequestPathZeroAllocs(t *testing.T) {
+	in := genInstance(t, 10, 60, 4, 11)
+	st := solved(t, in)
+	e, err := NewEngine(in, st, testOptions(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.mu.Lock()
+	v, _, err := e.snapshotLocked(0)
+	e.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := requestPairs(in)
+	root := rng.New(1)
+	s := new(rng.Stream)
+	visits := make([]visit, 0, 4)
+	i := 0
+	got := testing.AllocsPerRun(2000, func() {
+		p := pairs[i%len(pairs)]
+		root.SplitNInto(s, "req", i)
+		visits = evalRequest(v, p[0], p[1], s, visits, nil).visits
+		i++
+	})
+	if got != 0 {
+		t.Fatalf("healthy request path: %.2f allocs/request, want 0", got)
 	}
 }

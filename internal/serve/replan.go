@@ -42,7 +42,7 @@ func (e *Engine) replanOnce(now units.Seconds, fv *model.Instance) {
 			})
 		}
 	default:
-		e.plan.store(&Plan{Epoch: old.Epoch + 1, In: fv, Strategy: st})
+		e.plan.store(newPlan(old.Epoch+1, fv, st))
 		e.lastPlanT = now
 		e.stats.replans++
 		e.sc.Count("serve_replans_total", 1)

@@ -225,7 +225,7 @@ func (sr *SoakReport) observeRound(r int, now units.Seconds, agg roundAgg, fvEmp
 
 // finish seals the report: percentiles per phase, breaker and
 // re-planner totals, throughput, determinism fingerprint.
-func (sr *SoakReport) finish(e *Engine, wall time.Duration, hash hashWriter) {
+func (sr *SoakReport) finish(e *Engine, wall time.Duration, hash uint64) {
 	for _, ps := range sr.Phases {
 		sort.Float64s(ps.latencies)
 		n := len(ps.latencies)
@@ -259,7 +259,7 @@ func (sr *SoakReport) finish(e *Engine, wall time.Duration, hash hashWriter) {
 	sr.FlightDumps = e.flightDumps
 	sr.HealedAtEnd = sr.lastDegraded == 0
 	sr.Dropped = sr.Issued - sr.Served
-	sr.OutcomeHash = fmt.Sprintf("%016x", hash.Sum64())
+	sr.OutcomeHash = fmt.Sprintf("%016x", hash)
 	sr.WallSeconds = wall.Seconds()
 	if virt := float64(sr.Rounds) * sr.TickS; virt > 0 {
 		sr.VirtualRPS = float64(sr.Issued) / virt

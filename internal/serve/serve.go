@@ -33,10 +33,10 @@ package serve
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -317,7 +317,7 @@ func NewEngine(healthy *model.Instance, st model.Strategy, opt Options) (*Engine
 		}
 	}
 	e.campaign = opt.Campaign
-	e.plan.store(&Plan{Epoch: 0, In: healthy, Strategy: st})
+	e.plan.store(newPlan(0, healthy, st))
 	return e, nil
 }
 
@@ -461,21 +461,24 @@ func (e *Engine) fvStale(now units.Seconds) bool {
 // order within the stream is part of the determinism contract — do not
 // reorder draws without regenerating baselines.
 //
+// visits is a buffer the outcome's visit list reuses (the previous
+// round's list for the same slot: the fold is done with it), so a
+// steady-state request appends its visits without allocating.
+//
 // rec, when non-nil, receives the request's flight record: the full
 // attempt chain with the breaker state observed at each admission, the
 // retries burned and deadline budget remaining per hop, hedge raced/won,
 // and the Eq. 17 degradation pricing. Every instrumentation append is
 // gated on rec, so the rec==nil path (sampling off, or an unsampled
 // request) does exactly the work it did before the recorder existed.
-func evalRequest(v *view, j, k int, s *rng.Stream, rec *obs.FlightRecord) RequestOutcome {
+func evalRequest(v *view, j, k int, s *rng.Stream, visits []visit, rec *obs.FlightRecord) RequestOutcome {
 	opt := v.opt
 	plan := v.plan
 	st := plan.Strategy
-	out := RequestOutcome{User: j, Item: k, Served: -1, Intended: -1}
+	out := RequestOutcome{User: j, Item: k, Served: -1, Intended: -1, visits: visits[:0]}
 
 	// The plan's intent, under the plan's own world view.
-	intendedSrc, intendedEdge := plan.In.BestSource(st.Alloc, st.Delivery, j, k, st.Mode, nil)
-	intendedLat := plan.In.RequestLatencyMode(st.Alloc, st.Delivery, j, k, st.Mode)
+	intendedSrc, intendedEdge, intendedLat := plan.intent(j, k)
 	if intendedEdge {
 		out.Intended = intendedSrc
 	}
@@ -502,8 +505,11 @@ func evalRequest(v *view, j, k int, s *rng.Stream, rec *obs.FlightRecord) Reques
 		}
 	}
 
-	tried := map[int]bool{}
-	skip := func(o int) bool { return tried[o] || !admit(o) }
+	// tried lists the sources visited so far; a request visits a few at
+	// most, so a slice beats a map and stays off the heap.
+	var triedBuf [8]int
+	tried := triedBuf[:0]
+	skip := func(o int) bool { return slices.Contains(tried, o) || !admit(o) }
 
 	// hop appends one attempt to the flight record (no-op when the
 	// request is unsampled). Call it after latency has absorbed the hop,
@@ -551,7 +557,7 @@ func evalRequest(v *view, j, k int, s *rng.Stream, rec *obs.FlightRecord) Reques
 	dst := a.Server
 	servedEdge := false
 	for !servedEdge {
-		src, viaEdge := plan.In.BestSource(st.Alloc, st.Delivery, j, k, st.Mode, skip)
+		src, viaEdge := plan.source(j, k, skip)
 		if !viaEdge {
 			serveCloud()
 			break
@@ -566,7 +572,7 @@ func evalRequest(v *view, j, k int, s *rng.Stream, rec *obs.FlightRecord) Reques
 				out.Failovers++
 				latency += opt.Backoff // connection-refused detection cost
 				hop(src, kind, 0, opt.Backoff, false)
-				tried[src] = true
+				tried = append(tried, src)
 				continue
 			}
 			out.Served = src
@@ -586,7 +592,7 @@ func evalRequest(v *view, j, k int, s *rng.Stream, rec *obs.FlightRecord) Reques
 			out.Failovers++
 			latency += opt.Backoff
 			hop(src, kind, 0, opt.Backoff, false)
-			tried[src] = true
+			tried = append(tried, src)
 			continue
 		}
 		hopStart, retriesBefore := latency, out.Retries
@@ -621,7 +627,7 @@ func evalRequest(v *view, j, k int, s *rng.Stream, rec *obs.FlightRecord) Reques
 		}
 		out.visits = append(out.visits, visit{server: src, ok: false})
 		out.Failovers++
-		tried[src] = true
+		tried = append(tried, src)
 		if out.DeadlineExceeded {
 			serveCloud()
 			break
@@ -632,8 +638,8 @@ func evalRequest(v *view, j, k int, s *rng.Stream, rec *obs.FlightRecord) Reques
 	// threshold, score a single shadow attempt at the next-best source
 	// and take the faster outcome.
 	if opt.Hedge > 0 && servedEdge && latency > opt.Hedge {
-		tried[out.Served] = true
-		if hsrc, viaEdge := plan.In.BestSource(st.Alloc, st.Delivery, j, k, st.Mode, skip); viaEdge {
+		tried = append(tried, out.Served)
+		if hsrc, viaEdge := plan.source(j, k, skip); viaEdge {
 			hLat := v.fv.EdgeLatency(k, hsrc, dst)
 			if !v.fv.Top.Servers[hsrc].Failed && !math.IsInf(float64(hLat), 1) {
 				if opt.Faults.StallProb > 0 && s.Bool(opt.Faults.StallProb) {
@@ -745,7 +751,7 @@ func (e *Engine) RunSoak(ctx context.Context) (*SoakReport, error) {
 	}
 
 	rep := newSoakReport(&opt, rounds, perRound)
-	hash := fnv.New64a()
+	hash := newOutcomeHash()
 	outcomes := make([]RequestOutcome, perRound)
 	reqs := make([][2]int, perRound)
 
@@ -812,8 +818,9 @@ func (e *Engine) RunSoak(ctx context.Context) (*SoakReport, error) {
 			go func(w, lo, hi int) {
 				defer wg.Done()
 				sh := e.flight.Shard(w)
+				s := new(rng.Stream) // re-rooted per request: no per-request allocation
 				for i := lo; i < hi; i++ {
-					s := root.SplitN("req", base+i)
+					root.SplitNInto(s, "req", base+i)
 					// The sampling decision hashes the stream's seed — a
 					// pure function of the global request index — so the
 					// sampled set is identical at any worker count and no
@@ -822,7 +829,7 @@ func (e *Engine) RunSoak(ctx context.Context) (*SoakReport, error) {
 					if e.flight.Sample(s.Seed()) {
 						rec = &obs.FlightRecord{Round: r, Index: i}
 					}
-					outcomes[i] = evalRequest(v, reqs[i][0], reqs[i][1], s, rec)
+					outcomes[i] = evalRequest(v, reqs[i][0], reqs[i][1], s, outcomes[i].visits, rec)
 					if rec != nil {
 						sh.Add(*rec)
 					}
@@ -833,7 +840,7 @@ func (e *Engine) RunSoak(ctx context.Context) (*SoakReport, error) {
 
 		// Barrier fold, in request order: breakers, health, metrics,
 		// degradation accounting, hash, flight merge, SLO burn rates.
-		agg := e.foldRound(r, now, outcomes, hash, rep)
+		agg := e.foldRound(r, now, outcomes, &hash, rep)
 
 		// Threshold-triggered re-plan under bounded staleness.
 		if agg.degraded > 0 &&
@@ -855,7 +862,7 @@ func (e *Engine) RunSoak(ctx context.Context) (*SoakReport, error) {
 			}
 		}
 	}
-	rep.finish(e, time.Since(wallStart), hash)
+	rep.finish(e, time.Since(wallStart), uint64(hash))
 	return rep, ctxErr
 }
 
@@ -874,7 +881,7 @@ type roundAgg struct {
 // foldRound folds the round's outcomes into the engine and report in
 // request order. The fold is the only writer of breaker and health
 // state during a soak, so the whole data plane stays deterministic.
-func (e *Engine) foldRound(r int, now units.Seconds, outcomes []RequestOutcome, hash hashWriter, rep *SoakReport) roundAgg {
+func (e *Engine) foldRound(r int, now units.Seconds, outcomes []RequestOutcome, hash *outcomeHash, rep *SoakReport) roundAgg {
 	const healthGamma = 0.05
 	var agg roundAgg
 	end := now + e.opt.Tick
@@ -972,26 +979,27 @@ func (e *Engine) foldRound(r int, now units.Seconds, outcomes []RequestOutcome, 
 	return agg
 }
 
-// hashWriter is the subset of hash.Hash64 the outcome fingerprint needs.
-type hashWriter interface {
-	Write(p []byte) (int, error)
-	Sum64() uint64
+// outcomeHash is the determinism fingerprint: 64-bit FNV-1a over the
+// little-endian bytes of every outcome's words, folded inline so the
+// barrier fold allocates nothing per request.
+type outcomeHash uint64
+
+func newOutcomeHash() outcomeHash { return 14695981039346656037 }
+
+// put folds one word's eight little-endian bytes.
+func (h *outcomeHash) put(v uint64) {
+	for b := 0; b < 64; b += 8 {
+		*h = (*h ^ outcomeHash(v>>b&0xff)) * 1099511628211
+	}
 }
 
 // writeOutcomeHash folds one outcome into the determinism fingerprint.
-func writeOutcomeHash(h hashWriter, round, idx int, o *RequestOutcome) {
-	var buf [8]byte
-	put := func(v uint64) {
-		for b := 0; b < 8; b++ {
-			buf[b] = byte(v >> (8 * b))
-		}
-		h.Write(buf[:])
-	}
-	put(uint64(round))
-	put(uint64(idx))
-	put(uint64(int64(o.Served)))
-	put(math.Float64bits(float64(o.Latency)))
-	put(uint64(o.Retries)<<32 | uint64(o.Failovers))
+func writeOutcomeHash(h *outcomeHash, round, idx int, o *RequestOutcome) {
+	h.put(uint64(round))
+	h.put(uint64(idx))
+	h.put(uint64(int64(o.Served)))
+	h.put(math.Float64bits(float64(o.Latency)))
+	h.put(uint64(o.Retries)<<32 | uint64(o.Failovers))
 	flags := uint64(0)
 	if o.Hedged {
 		flags |= 1
@@ -1005,7 +1013,7 @@ func writeOutcomeHash(h hashWriter, round, idx int, o *RequestOutcome) {
 	if o.Degraded {
 		flags |= 8
 	}
-	put(flags)
+	h.put(flags)
 }
 
 // lastPlanTime reports when the plan last changed (virtual time).
