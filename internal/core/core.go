@@ -243,6 +243,7 @@ func publishAggStats(sc *obs.Scope, l *model.Ledger) {
 	sc.SetGauge("agg_arena_bytes", float64(st.ArenaBytes))
 	sc.SetGauge("agg_in_use_bytes", float64(st.InUseBytes))
 	sc.SetGauge("agg_dense_equiv_bytes", float64(st.DenseEquivBytes))
+	sc.SetGauge("benefit_memo_bytes", float64(st.MemoBytes))
 	sc.Count("agg_evictions_total", st.Evictions)
 	sc.Count("agg_fallback_evals_total", st.FallbackEvals)
 	if !sc.Tracing() {
@@ -257,6 +258,7 @@ func publishAggStats(sc *obs.Scope, l *model.Ledger) {
 		"dense_equiv_bytes": st.DenseEquivBytes,
 		"evictions":         st.Evictions,
 		"fallback_evals":    st.FallbackEvals,
+		"memo_bytes":        st.MemoBytes,
 	})
 }
 

@@ -79,6 +79,26 @@ func TestMoveSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestBenefitMemoMissZeroAllocs pins the memo's miss path: moving a
+// user away and back invalidates its entries, so the probe that follows
+// recomputes and stores the value, and none of it may allocate.
+func TestBenefitMemoMissZeroAllocs(t *testing.T) {
+	l, alloc, js, as := guardFixture(t)
+	for bi := range js {
+		_ = l.Benefit(js[bi], as[bi]) // build the memo
+	}
+	var bi int
+	if avg := testing.AllocsPerRun(200, func() {
+		j := js[bi]
+		l.Move(j, Unallocated)
+		l.Move(j, alloc[j])
+		_ = l.Benefit(j, as[bi])
+		bi = (bi + 1) % len(js)
+	}); avg != 0 {
+		t.Fatalf("Ledger.Benefit memo misses allocate %.2f allocs/op, want 0", avg)
+	}
+}
+
 // TestBenefitBudgetedResidentHitZeroAllocs pins the budgeted ledger's
 // hit path: probing the same resident receiver repeatedly must not
 // allocate (only faults that build rows may).

@@ -2,6 +2,7 @@ package model
 
 import (
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -36,6 +37,20 @@ import (
 // shard tile views share one Instance's gains under restricted coverage
 // lists.
 //
+// # Benefit memo
+//
+// Benefit caches the value of every in-coverage decision (see
+// benefitMemo). An in-coverage Benefit(j, {i, y}) reads only static
+// gains, power[i][y], the channel-y cells of the servers in Coverage[j]
+// and j's own decision, and a Move changes occupancy at exactly its two
+// (server, channel) pairs; so Move invalidates channel x of every user
+// in Covered[o] for each touched pair (o, x), plus every channel of the
+// mover, and every other cached value stays bit-identical to a fresh
+// evaluation. Concurrency contract: only Benefit(j, ·) writes user j's
+// memo entries, so concurrent Benefit calls must be for distinct users
+// — the game engine never evaluates one player on two workers at once —
+// and, as everywhere, Move must not race with evaluations.
+//
 // # Aggregate-row memory
 //
 // Rows live in a per-ledger span arena (see spanArena): the srcOff and
@@ -55,10 +70,14 @@ type Ledger struct {
 	users [][][]int
 	// power[i][x] is Σ p_t over those users.
 	power [][]units.Watts
-	// covGain[j][k] is GainAt(Coverage[j][k], j): the serving gain of
-	// every in-coverage decision. The rows are views into one backing
-	// slice.
-	covGain [][]float64
+	// covGain[covBase[j]+k] is GainAt(Coverage[j][k], j): the serving
+	// gain of every in-coverage decision, flattened over users.
+	covGain []float64
+	covBase []int32
+	// memo caches in-coverage Benefit values; built at the first
+	// aggregate-path Benefit, so ledgers that only evaluate rates never
+	// pay for it.
+	memo atomic.Pointer[benefitMemo]
 
 	// agg[i] points at the lazily built receiver-i aggregate row:
 	// vals[srcOff[o]+x] = Σ_{t∈users[o][x]} Gain[i][t]·p_t, restricted
@@ -133,21 +152,105 @@ func NewLedger(in *Instance, alloc Allocation) *Ledger {
 		}
 	}
 	cov := in.Top.Coverage
-	var width int
-	for _, vs := range cov {
-		width += len(vs)
-	}
-	flat := make([]float64, width)
-	l.covGain = make([][]float64, len(cov))
+	l.covBase = make([]int32, len(cov)+1)
 	for j, vs := range cov {
-		row := flat[:len(vs):len(vs)]
-		flat = flat[len(vs):]
+		l.covBase[j+1] = l.covBase[j] + int32(len(vs))
+	}
+	l.covGain = make([]float64, l.covBase[len(cov)])
+	for j, vs := range cov {
+		row := l.covGain[l.covBase[j]:l.covBase[j+1]]
 		for k, i := range vs {
 			row[k] = in.GainAt(i, j)
 		}
-		l.covGain[j] = row
 	}
 	return l
+}
+
+// benefitMemo caches Benefit(j, {Coverage[j][k], y}) in val[(covBase[j]+k)·
+// chans + y]. The slot is current while bit k%64 of valid[(j·chans+y)·
+// words + k/64] is set: Benefit sets it when it stores a value, and Move
+// clears a whole (user, channel) mask when the channel's inputs change.
+// One mask per (user, channel) rather than an epoch per slot keeps the
+// validity state at chans·words words per user and needs no wrap
+// handling.
+type benefitMemo struct {
+	val   []float64
+	valid []uint64
+	// hint[j] is the Coverage[j] position of j's last looked-up server
+	// (see find).
+	hint []int32
+	// chans is the largest channel count; words covers the longest
+	// Coverage list.
+	chans, words int
+}
+
+// newMemo builds the Benefit memo under aggMu on first use. Every entry
+// starts invalid, so a memo created at any point is consistent.
+func (l *Ledger) newMemo() *benefitMemo {
+	l.aggMu.Lock()
+	defer l.aggMu.Unlock()
+	if m := l.memo.Load(); m != nil {
+		return m
+	}
+	m := &benefitMemo{}
+	for _, s := range l.in.Top.Servers {
+		m.chans = max(m.chans, s.Channels)
+	}
+	for _, vs := range l.in.Top.Coverage {
+		m.words = max(m.words, (len(vs)+63)/64)
+	}
+	m.val = make([]float64, len(l.covGain)*m.chans)
+	m.hint = make([]int32, len(l.in.Top.Coverage))
+	m.valid = make([]uint64, len(l.in.Top.Coverage)*m.chans*m.words)
+	l.memo.Store(m)
+	return m
+}
+
+// bit locates the validity bit of user j's k-th covering server on
+// channel y.
+func (m *benefitMemo) bit(j, k, y int) (*uint64, uint64) {
+	return &m.valid[(j*m.chans+y)*m.words+k>>6], 1 << (uint(k) & 63)
+}
+
+// find returns server's position in vs = Coverage[j], or -1. A
+// best-response scan walks Coverage[j] in order, so the position is
+// usually j's last one or the next; hint[j] remembers it.
+func (m *benefitMemo) find(vs []int, j, server int) int {
+	k := int(m.hint[j])
+	if k < len(vs) && vs[k] == server {
+		return k
+	}
+	if k++; k < len(vs) && vs[k] == server {
+		m.hint[j] = int32(k)
+		return k
+	}
+	k = slices.Index(vs, server)
+	if k >= 0 {
+		m.hint[j] = int32(k)
+	}
+	return k
+}
+
+// invalidate clears channel y of user u.
+func (m *benefitMemo) invalidate(u, y int) {
+	clear(m.valid[(u*m.chans+y)*m.words:][:m.words])
+}
+
+// moved invalidates the entries a Move of user j from → to can change:
+// channel from.Channel of every user from.Server covers, channel
+// to.Channel of every user to.Server covers, and every channel of j.
+func (m *benefitMemo) moved(covered [][]int, j int, from, to Alloc) {
+	if from.Allocated() {
+		for _, u := range covered[from.Server] {
+			m.invalidate(u, from.Channel)
+		}
+	}
+	if to.Allocated() {
+		for _, u := range covered[to.Server] {
+			m.invalidate(u, to.Channel)
+		}
+	}
+	clear(m.valid[j*m.chans*m.words:][:m.chans*m.words])
 }
 
 // SetNaiveInterference toggles the O(occupancy) reference scan for the
@@ -231,6 +334,9 @@ func (l *Ledger) Move(j int, a Alloc) {
 	}
 	l.alloc[j] = a
 	l.aggMove(j, cur, a)
+	if m := l.memo.Load(); m != nil {
+		m.moved(l.in.Top.Covered, j, cur, a)
+	}
 }
 
 // aggRowData is one receiver's aggregate row, restricted to the sources
@@ -510,7 +616,7 @@ func (l *Ledger) remove(j int, a Alloc) {
 func (l *Ledger) servingGain(j int, a Alloc) (g float64, inCov bool) {
 	for k, i := range l.in.Top.Coverage[j] {
 		if i == a.Server {
-			return l.covGain[j][k], true
+			return l.covGain[int(l.covBase[j])+k], true
 		}
 	}
 	return l.in.GainAt(a.Server, j), false
@@ -685,6 +791,10 @@ type AggMemStats struct {
 	// counts interference evaluations served by the fold fallback.
 	Evictions     int64
 	FallbackEvals int64
+	// MemoBytes is the Benefit memo's footprint (values, validity masks
+	// and lookup hints; 0 until the first Benefit). It is not part of
+	// ArenaBytes.
+	MemoBytes int64
 }
 
 // AggMemStats reports the aggregate-row memory accounting. It must be
@@ -710,7 +820,16 @@ func (l *Ledger) AggMemStats() AggMemStats {
 			8*l.everWidth,
 		Evictions:     l.aggEvictions,
 		FallbackEvals: l.aggFallbacks.Load(),
+		MemoBytes:     l.memoBytes(),
 	}
+}
+
+func (l *Ledger) memoBytes() int64 {
+	m := l.memo.Load()
+	if m == nil {
+		return 0
+	}
+	return int64(len(m.val))*8 + int64(len(m.valid))*8 + int64(len(m.hint))*4
 }
 
 // intraOther computes Σ_{u_t∈U_{i,x}\u_j} p_t under the hypothesis that
@@ -773,11 +892,43 @@ func (l *Ledger) RateIgnoringInterCell(j int, a Alloc) units.Rate {
 // α_j = a). Unallocated yields 0, so any feasible allocation beats
 // staying out — matching the paper's premise that all users can be
 // allocated in IDDE scenarios.
+//
+// In-coverage decisions on the aggregate path are served from the
+// ledger's memo (see the Ledger doc); off-coverage hypotheticals and the
+// naive evaluator always compute.
 func (l *Ledger) Benefit(j int, a Alloc) float64 {
 	if !a.Allocated() {
 		return 0
 	}
-	g, f := l.link(j, a)
+	if l.naive {
+		g, f := l.link(j, a)
+		return l.benefit(j, a, g, f)
+	}
+	m := l.memo.Load()
+	if m == nil {
+		m = l.newMemo()
+	}
+	if uint(a.Channel) < uint(m.chans) {
+		if k := m.find(l.in.Top.Coverage[j], j, a.Server); k >= 0 {
+			c := int(l.covBase[j]) + k
+			s := c*m.chans + a.Channel
+			w, bit := m.bit(j, k, a.Channel)
+			if *w&bit != 0 {
+				return m.val[s]
+			}
+			g := l.covGain[c]
+			b := l.benefit(j, a, g, l.interCell(j, a, g, true))
+			m.val[s] = b
+			*w |= bit
+			return b
+		}
+	}
+	g := l.in.GainAt(a.Server, j)
+	return l.benefit(j, a, g, l.interCell(j, a, g, false))
+}
+
+// benefit evaluates Eq. (12) from the link quantities of decision a.
+func (l *Ledger) benefit(j int, a Alloc, g float64, f units.Watts) float64 {
 	p := float64(l.in.Top.Users[j].Power)
 	intra := float64(l.intraOther(j, a)) + p // includes u_j per Eq. 12
 	den := g*intra + float64(f)

@@ -163,6 +163,11 @@ type ledgerMove struct {
 // replaying the same moves without resident rows, whose rows are then
 // built fresh (bit for bit); a ledger under a one-row budget (bit for
 // bit); and the naive reference (the aggregate-vs-naive tolerance).
+// Each probe also sweeps the whole decision set of the probed user, and
+// of one user co-covered by the last mover, twice on the warm ledger:
+// the first pass mixes memo hits carried across moves with misses, the
+// second must be all hits, and both must match the fresh twin bit for
+// bit.
 //
 // Each op is four bytes: kind (even = Move, odd = probe), user, server
 // choice (255 = Unallocated, ≥128 = any server) and channel choice.
@@ -193,6 +198,22 @@ func FuzzLedgerMoves(f *testing.F) {
 			naive.Move(mv.j, mv.a)
 		}
 
+		// sweep evaluates q's whole decision set on l twice against the
+		// fresh twin.
+		sweep := func(fresh *Ledger, q int) {
+			for pass := 0; pass < 2; pass++ {
+				for _, d := range decisions(in, q) {
+					if pass == 1 && !memoValid(l, q, d) {
+						t.Fatalf("second sweep: Benefit(%d,%v) missed the memo", q, d)
+					}
+					got, want := l.Benefit(q, d), fresh.Benefit(q, d)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("sweep %d: Benefit(%d,%v) = %v, fresh ledger %v", pass, q, d, got, want)
+					}
+				}
+			}
+		}
+		coCovered := -1 // a user covered by the last mover's source or destination
 		for ; len(ops) >= 4; ops = ops[4:] {
 			j := int(ops[1]) % in.M()
 			var a Alloc
@@ -208,6 +229,13 @@ func FuzzLedgerMoves(f *testing.F) {
 				a = Alloc{Server: i, Channel: int(ops[3]) % in.Top.Servers[i].Channels}
 			}
 			if ops[0]%2 == 0 {
+				coCovered = -1
+				for _, d := range []Alloc{l.Current(j), a} {
+					if d.Allocated() && len(in.Top.Covered[d.Server]) > 0 {
+						us := in.Top.Covered[d.Server]
+						coCovered = us[int(ops[3])%len(us)]
+					}
+				}
 				l.Move(j, a)
 				tight.Move(j, a)
 				naive.Move(j, a)
@@ -233,6 +261,10 @@ func FuzzLedgerMoves(f *testing.F) {
 				if r := p.eval(naive); math.Abs(got-r) > 1e-9*math.Max(1, r) {
 					t.Fatalf("%s(%d,%v) = %v, naive %v", p.name, j, a, got, r)
 				}
+			}
+			sweep(fresh, j)
+			if coCovered >= 0 {
+				sweep(fresh, coCovered)
 			}
 		}
 	})

@@ -103,38 +103,62 @@ func Scales() []experiment.Params {
 // until budget elapses (at least once), returning iterations, ns/op and
 // allocs/op.
 func measure(budget time.Duration, batch int, fn func()) (iters int, nsPerOp, allocsPerOp, bytesPerOp float64) {
+	return measureAfter(budget, batch, nil, fn)
+}
+
+// measureAfter is measure with an untimed setup step (nil = none) before
+// every call of fn. The budget bounds wall time, setup included; ns/op
+// counts fn alone, allocs/op both.
+func measureAfter(budget time.Duration, batch int, setup, fn func()) (iters int, nsPerOp, allocsPerOp, bytesPerOp float64) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	start := time.Now()
+	var timed time.Duration
 	for {
+		if setup != nil {
+			setup()
+		}
+		t0 := time.Now()
 		fn()
+		timed += time.Since(t0)
 		iters++
 		if time.Since(start) >= budget {
 			break
 		}
 	}
-	elapsed := time.Since(start)
 	runtime.ReadMemStats(&after)
 	ops := float64(iters * batch)
-	nsPerOp = float64(elapsed.Nanoseconds()) / ops
+	nsPerOp = float64(timed.Nanoseconds()) / ops
 	allocsPerOp = float64(after.Mallocs-before.Mallocs) / ops
 	bytesPerOp = float64(after.TotalAlloc-before.TotalAlloc) / ops
 	return iters, nsPerOp, allocsPerOp, bytesPerOp
 }
 
-// benefitProbes draws a deterministic batch of hypothetical decisions
-// for the Benefit micro-bench.
+// benefitProbes draws a deterministic batch of distinct in-coverage
+// hypothetical decisions for the Benefit micro-benches: count of them,
+// or fewer on an instance with fewer decisions. Distinct probes keep a
+// pass over a freshly invalidated batch free of Benefit memo hits.
 func benefitProbes(in *model.Instance, s *rng.Stream, count int) (js []int, as []model.Alloc) {
-	for len(js) < count {
+	type probe struct {
+		j int
+		a model.Alloc
+	}
+	seen := make(map[probe]bool, count)
+	for draws := 0; len(js) < count && draws < 16*count; draws++ {
 		j := s.IntN(in.M())
 		vs := in.Top.Coverage[j]
 		if len(vs) == 0 {
 			continue
 		}
 		i := vs[s.IntN(len(vs))]
+		a := model.Alloc{Server: i, Channel: s.IntN(in.Top.Servers[i].Channels)}
+		if seen[probe{j, a}] {
+			continue
+		}
+		seen[probe{j, a}] = true
 		js = append(js, j)
-		as = append(as, model.Alloc{Server: i, Channel: s.IntN(in.Top.Servers[i].Channels)})
+		as = append(as, a)
 	}
 	return js, as
 }
@@ -193,8 +217,11 @@ func RunScales(scales []experiment.Params, budget time.Duration, seed uint64, lo
 		}
 
 		// Ledger.Benefit micro-bench: aggregate vs naive evaluator over
-		// an identical probe batch on an identical random profile.
-		const batch = 4096
+		// an identical probe batch on an identical random profile. The
+		// aggregate record times the evaluator itself: before every
+		// timed pass each probed user moves away and back, which
+		// invalidates all of its memo entries. memo-hit times the same
+		// batch served from the memo.
 		s := rng.New(seed * 77)
 		alloc := model.NewAllocation(in.M())
 		l := model.NewLedger(in, alloc)
@@ -204,25 +231,45 @@ func RunScales(scales []experiment.Params, budget time.Duration, seed uint64, lo
 				l.Move(j, model.Alloc{Server: i, Channel: s.IntN(in.Top.Servers[i].Channels)})
 			}
 		}
-		js, as := benefitProbes(in, s, batch)
-		for _, naive := range []bool{false, true} {
-			name := "LedgerBenefit/aggregate"
-			if naive {
-				name = "LedgerBenefit/naive"
+		js, as := benefitProbes(in, s, 4096)
+		batch := len(js)
+		var movers []int
+		moved := make([]bool, in.M())
+		for _, j := range js {
+			if !moved[j] {
+				moved[j] = true
+				movers = append(movers, j)
 			}
-			l.SetNaiveInterference(naive)
+		}
+		invalidate := func() {
+			for _, j := range movers {
+				cur := l.Current(j)
+				l.Move(j, model.Unallocated)
+				l.Move(j, cur)
+			}
+		}
+		for _, v := range []struct {
+			name  string
+			naive bool
+			setup func()
+		}{
+			{"LedgerBenefit/aggregate", false, invalidate},
+			{"LedgerBenefit/memo-hit", false, nil},
+			{"LedgerBenefit/naive", true, nil},
+		} {
+			l.SetNaiveInterference(v.naive)
 			probe := func() {
 				for bi := range js {
 					_ = l.Benefit(js[bi], as[bi])
 				}
 			}
 			probe() // warm-up: materialize aggregate rows outside the timer
-			iters, ns, ac, bc := measure(budget/4, batch, probe)
+			iters, ns, ac, bc := measureAfter(budget/4, batch, v.setup, probe)
 			rep.Records = append(rep.Records, Record{
-				Name: name, N: p.N, M: p.M,
+				Name: v.name, N: p.N, M: p.M,
 				Iters: iters * batch, NsPerOp: ns, AllocsPerOp: ac, BytesPerOp: bc,
 			})
-			logf("%-28s N=%-4d M=%-6d %12.1f ns/op", name, p.N, p.M, ns)
+			logf("%-28s N=%-4d M=%-6d %12.1f ns/op", v.name, p.N, p.M, ns)
 		}
 		l.SetNaiveInterference(false)
 
