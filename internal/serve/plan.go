@@ -22,19 +22,24 @@ type Plan struct {
 	Strategy model.Strategy
 
 	// nearest is the plan's nearest-replica table for Collaborative
-	// delivery, indexed server*K + item: Eq. 8's source for an item
-	// requested through that attachment server, stored as src+2 (1 = the
-	// cloud, 0 = not resolved yet). Entries fill on first use; racing
-	// fills store the same value. nil for plans built outside newPlan
-	// and for the other delivery modes, which route by scan.
-	nearest []atomic.Int32
+	// delivery, indexed item*N + attachment server: Eq. 8's source for
+	// an item requested through that server and the latency it delivers
+	// at (model.NearestSources). nil for plans built outside newPlan and
+	// for the other delivery modes, which route by scan.
+	nearest []model.Nearest
 }
 
-// newPlan builds a plan generation with an empty nearest-replica table.
+// newPlan builds a plan generation. A Collaborative plan fills its
+// nearest-replica table here, one pass per item, and is immutable
+// afterwards.
 func newPlan(epoch int, in *model.Instance, st model.Strategy) *Plan {
 	p := &Plan{Epoch: epoch, In: in, Strategy: st}
 	if st.Mode == model.Collaborative {
-		p.nearest = make([]atomic.Int32, in.N()*in.K())
+		n := in.N()
+		p.nearest = make([]model.Nearest, n*in.K())
+		for k := 0; k < in.K(); k++ {
+			in.NearestSources(st.Delivery, k, p.nearest[k*n:(k+1)*n])
+		}
 	}
 	return p
 }
@@ -44,43 +49,24 @@ func (p *Plan) tabulated(j int) bool {
 	return p.nearest != nil && p.Strategy.Alloc[j].Allocated()
 }
 
-// nearestFor returns Eq. 8's Collaborative source for request (j,k) of
-// a tabulated user, scanning In.BestSource once per (server, item).
-//
-// The scan returns the lowest-index minimiser of EdgeLatency(k, o,
-// server) over the holders o, provided it is no worse than the cloud
-// (an edge source wins the tie). It depends on j only through j's
-// attachment server, which is why one entry serves every user there.
-func (p *Plan) nearestFor(j, k int) (src int, viaEdge bool) {
-	st := p.Strategy
-	e := &p.nearest[st.Alloc[j].Server*p.In.K()+k]
-	v := e.Load()
-	if v == 0 {
-		src, viaEdge := p.In.BestSource(st.Alloc, st.Delivery, j, k, st.Mode, nil)
-		v = 1
-		if viaEdge {
-			v = int32(src) + 2
-		}
-		e.Store(v)
-	}
-	return int(v) - 2, v > 1
+// nearestFor returns the table entry for request (j,k) of a tabulated
+// user. Eq. 8's choice depends on j only through j's attachment server,
+// which is why one entry serves every user there.
+func (p *Plan) nearestFor(j, k int) model.Nearest {
+	return p.nearest[k*p.In.N()+p.Strategy.Alloc[j].Server]
 }
 
 // intent returns the plan's Eq. 8 choice for request (j,k) and the
 // latency the plan expects of it: bit for bit In.BestSource with no
-// exclusions and In.RequestLatencyMode. The tabulated source attains the
-// minimum RequestLatencyMode takes, so its EdgeLatency is that minimum
-// (or the cloud's latency when no edge source qualifies).
+// exclusions and In.RequestLatencyMode.
 func (p *Plan) intent(j, k int) (src int, viaEdge bool, lat units.Seconds) {
-	st := p.Strategy
 	if !p.tabulated(j) {
+		st := p.Strategy
 		src, viaEdge = p.In.BestSource(st.Alloc, st.Delivery, j, k, st.Mode, nil)
 		return src, viaEdge, p.In.RequestLatencyMode(st.Alloc, st.Delivery, j, k, st.Mode)
 	}
-	if src, viaEdge = p.nearestFor(j, k); !viaEdge {
-		return -1, false, p.In.CloudLatency(k)
-	}
-	return src, true, p.In.EdgeLatency(k, src, st.Alloc[j].Server)
+	e := p.nearestFor(j, k)
+	return int(e.Src), e.Src >= 0, e.Lat
 }
 
 // source is In.BestSource for request (j,k) with the candidates skip
@@ -91,8 +77,8 @@ func (p *Plan) intent(j, k int) (src int, viaEdge bool, lat units.Seconds) {
 func (p *Plan) source(j, k int, skip func(server int) bool) (src int, viaEdge bool) {
 	st := p.Strategy
 	if p.tabulated(j) {
-		if src, viaEdge = p.nearestFor(j, k); !viaEdge || !skip(src) {
-			return src, viaEdge
+		if e := p.nearestFor(j, k); e.Src < 0 || !skip(int(e.Src)) {
+			return int(e.Src), e.Src >= 0
 		}
 	}
 	return p.In.BestSource(st.Alloc, st.Delivery, j, k, st.Mode, skip)

@@ -1,13 +1,22 @@
 package serve
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
 
+	"idde/internal/core"
+	"idde/internal/experiment"
+	"idde/internal/geo"
+	"idde/internal/graph"
 	"idde/internal/model"
+	"idde/internal/radio"
 	"idde/internal/repair"
 	"idde/internal/rng"
+	"idde/internal/topology"
+	"idde/internal/units"
+	"idde/internal/workload"
 )
 
 // scanPlan is the plan without a nearest-replica table: every lookup
@@ -151,5 +160,158 @@ func TestPlanTableRequestOutcomes(t *testing.T) {
 				t.Fatalf("%s: request %d (%d,%d) = %+v, scan gives %+v", tc.name, i, p[0], p[1], got, want)
 			}
 		}
+	}
+}
+
+// handBuiltPlan is a 5-server, 3-item Collaborative plan whose path
+// costs place Eq. 8's corner cases at known entries. With a = cloud/4,
+// c = the cloud's per-MB cost, h = 2c and I = unreachable:
+//
+//	     0  1  2  3  4
+//	0  [ 0  c  h  c  h ]
+//	1  [ c  0  a  a  I ]
+//	2  [ h  a  0  a  h ]
+//	3  [ c  a  a  0  c ]
+//	4  [ h  I  h  c  0 ]
+//
+// Item 0 sits on servers 1 and 3, item 1 nowhere, item 2 on servers 0
+// and 2. User j < 5 attaches to server j; user 5 is unallocated.
+func handBuiltPlan(t *testing.T) *Plan {
+	t.Helper()
+	const n = 5
+	top := &topology.Topology{
+		Region: geo.Rect{MinX: -100, MinY: -100, MaxX: 4100, MaxY: 100},
+		Net:    graph.New(n),
+		// CloudRate 600 MB/s: c = 1/600 s per MB.
+		CloudRate: 600,
+	}
+	for i := 0; i < n; i++ {
+		top.Servers = append(top.Servers, topology.Server{ID: i, Pos: geo.Point{X: float64(1000 * i)}, Radius: 400, Channels: 2, Bandwidth: 200})
+		top.Users = append(top.Users, topology.User{ID: i, Pos: geo.Point{X: float64(1000 * i)}, Power: 2, MaxRate: 200})
+		if i > 0 {
+			top.Net.AddEdge(i-1, i, units.PerMB(3000))
+		}
+	}
+	top.Users = append(top.Users, topology.User{ID: n, Pos: geo.Point{X: 500}, Power: 2, MaxRate: 200})
+	if err := top.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	c := top.CloudCost
+	a, h, inf := c/4, 2*c, units.SecondsPerMB(math.Inf(1))
+	top.PathCost = [][]units.SecondsPerMB{
+		{0, c, h, c, h},
+		{c, 0, a, a, inf},
+		{h, a, 0, a, h},
+		{c, a, a, 0, c},
+		{h, inf, h, c, 0},
+	}
+	wl := &workload.Workload{
+		Items:    []workload.Item{{ID: 0, Size: 30}, {ID: 1, Size: 50}, {ID: 2, Size: 70}},
+		Capacity: []units.MegaBytes{500, 500, 500, 500, 500},
+	}
+	for j := 0; j <= n; j++ {
+		wl.Requests = append(wl.Requests, []int{0, 1, 2})
+	}
+	in, err := model.New(top, wl, radio.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc := model.NewAllocation(in.M())
+	for j := 0; j < n; j++ {
+		alloc[j] = model.Alloc{Server: j, Channel: 0}
+	}
+	d := model.NewDelivery(n, in.K())
+	for _, r := range [][2]int{{1, 0}, {3, 0}, {0, 2}, {2, 2}} {
+		d.Place(r[0], r[1], in.Wl.Items[r[1]].Size)
+	}
+	return newPlan(0, in, model.Strategy{Alloc: alloc, Delivery: d, Mode: model.Collaborative})
+}
+
+// TestPlanTableCornerCases checks the table on Eq. 8's ties and edge
+// cases against the literal scan, and that the hand-built instance
+// really contains them:
+//   - item 0 at server 2: two holders at bit-equal cost, the lower index wins;
+//   - item 0 at server 4: the only reachable holder costs exactly the
+//     cloud's latency, and the edge wins the tie;
+//   - item 0 at server 0 and item 2 at server 1: a holder ties the cloud
+//     first, then a later holder at the same cost loses, or a cheaper one wins;
+//   - item 1: no holder, so every server routes to the cloud;
+//   - item 2 at server 4: every holder is dearer than the cloud.
+//
+// It also runs the differential on a generated instance with more than
+// 64 servers, so each item's pass spans several cache lines of entries.
+func TestPlanTableCornerCases(t *testing.T) {
+	p := handBuiltPlan(t)
+	want := [5][3]int{ // [server][item] source, −1 = cloud
+		{1, -1, 0},
+		{1, -1, 2},
+		{1, -1, 2},
+		{3, -1, 2},
+		{3, -1, -1},
+	}
+	for i, row := range want {
+		for k, w := range row {
+			if src, viaEdge, _ := p.intent(i, k); src != w || viaEdge != (w >= 0) {
+				t.Errorf("intent(user at v%d, item %d) = (%d,%v), want source %d", i, k, src, viaEdge, w)
+			}
+		}
+	}
+	checkPlanMatchesScan(t, "hand-built", p)
+
+	in := genInstance(t, 80, 320, 5, 3)
+	checkPlanMatchesScan(t, "N=80", newPlan(0, in, solved(t, in)))
+}
+
+// FuzzPlanTableMatchesScan generates an instance from the fuzzer's seed
+// and sizes, solves it, and compares every (user, item) of the healthy
+// plan and of a plan re-planned after the most fetched-from server
+// fails with the literal Eq. 8 scan.
+func FuzzPlanTableMatchesScan(f *testing.F) {
+	f.Add(uint64(11), uint8(10), uint8(60), uint8(4))
+	f.Add(uint64(2022), uint8(3), uint8(1), uint8(1))
+	f.Add(uint64(7331), uint8(17), uint8(90), uint8(7))
+	f.Fuzz(func(t *testing.T, seed uint64, n, m, k uint8) {
+		in := genInstance(t, 3+int(n)%16, 1+int(m)%90, 1+int(k)%7, seed)
+		st := solved(t, in)
+		checkPlanMatchesScan(t, "healthy", newPlan(0, in, st))
+		replanned, _ := replannedPlan(t, in, st)
+		checkPlanMatchesScan(t, "replanned", replanned)
+	})
+}
+
+var benchPlan *Plan
+
+// BenchmarkNewPlan measures one Collaborative plan build, the table fill
+// included, on the instances of the benchmark's solve-global (N=1000,
+// M=4000, K=5) and serve-outage (N=40, M=400, K=8) workloads. Phase 2's
+// placement on an allocation that spreads users over their covering
+// servers stands in for a full solve: at solve-global size it places
+// about as many replicas (1,624 against 1,650) in milliseconds, not
+// seconds.
+func BenchmarkNewPlan(b *testing.B) {
+	for _, p := range []experiment.Params{
+		{N: 1000, M: 4000, K: 5, Density: 1.0, RegionScale: math.Sqrt(1000.0 / 125)},
+		{N: 40, M: 400, K: 8, Density: 1.0},
+	} {
+		b.Run(fmt.Sprintf("N=%d_M=%d_K=%d", p.N, p.M, p.K), func(b *testing.B) {
+			in, err := experiment.BuildInstance(p, 2022)
+			if err != nil {
+				b.Fatal(err)
+			}
+			alloc := model.NewAllocation(in.M())
+			for j, cov := range in.Top.Coverage {
+				if len(cov) > 0 {
+					alloc[j] = model.Alloc{Server: cov[j%len(cov)], Channel: 0}
+				}
+			}
+			d, _ := core.SolveDelivery(in, alloc, false)
+			st := model.Strategy{Alloc: alloc, Delivery: d, Mode: model.Collaborative}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchPlan = newPlan(0, in, st)
+			}
+			b.ReportMetric(float64(d.Count()), "replicas")
+		})
 	}
 }

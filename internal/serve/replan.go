@@ -30,6 +30,12 @@ func (e *Engine) requestReplan(replanner *asyncReplanner, now units.Seconds, fv 
 func (e *Engine) replanOnce(now units.Seconds, fv *model.Instance) {
 	old := e.plan.load()
 	st, repRep, err := e.supervisedRepair(old, fv)
+	// The plan's table fill is O(K·replicas·N), so it runs before e.mu
+	// is taken.
+	var plan *Plan
+	if err == nil {
+		plan = newPlan(old.Epoch+1, fv, st)
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	switch {
@@ -42,7 +48,7 @@ func (e *Engine) replanOnce(now units.Seconds, fv *model.Instance) {
 			})
 		}
 	default:
-		e.plan.store(newPlan(old.Epoch+1, fv, st))
+		e.plan.store(plan)
 		e.lastPlanT = now
 		e.stats.replans++
 		e.sc.Count("serve_replans_total", 1)

@@ -17,7 +17,7 @@ import (
 	"idde/internal/workload"
 )
 
-func genInstance(t *testing.T, n, m, k int, seed uint64) *model.Instance {
+func genInstance(t testing.TB, n, m, k int, seed uint64) *model.Instance {
 	t.Helper()
 	s := rng.New(seed)
 	top, err := topology.Generate(topology.DefaultGen(n, m, 1.0), s.Split("top"))
@@ -35,7 +35,7 @@ func genInstance(t *testing.T, n, m, k int, seed uint64) *model.Instance {
 	return in
 }
 
-func solved(t *testing.T, in *model.Instance) model.Strategy {
+func solved(t testing.TB, in *model.Instance) model.Strategy {
 	t.Helper()
 	return core.Solve(in, core.DefaultOptions()).Strategy
 }

@@ -7,11 +7,14 @@ import "idde/internal/model"
 // point. It is the most disruptive single outage target for chaos
 // drills: killing a server by attachment count mostly produces direct
 // cloud routing for its own users, which never exercises a breaker.
+// Requests resolve through the plan's Eq. 8 choice, as the data plane
+// routes them.
 func PopularSource(in *model.Instance, st model.Strategy) int {
+	p := newPlan(0, in, st)
 	counts := make([]int, in.N())
 	for j, items := range in.Wl.Requests {
 		for _, k := range items {
-			if src, viaEdge := in.BestSource(st.Alloc, st.Delivery, j, k, st.Mode, nil); viaEdge {
+			if src, viaEdge, _ := p.intent(j, k); viaEdge {
 				if a := st.Alloc[j]; a.Allocated() && a.Server != src {
 					counts[src]++
 				}
@@ -31,10 +34,11 @@ func PopularSource(in *model.Instance, st model.Strategy) int {
 // wired transfers under the strategy — the most disruptive single
 // link-cut target. Returns {-1,-1} if no request crosses a wire.
 func PopularLink(in *model.Instance, st model.Strategy) [2]int {
+	p := newPlan(0, in, st)
 	counts := map[[2]int]int{}
 	for j, items := range in.Wl.Requests {
 		for _, k := range items {
-			src, viaEdge := in.BestSource(st.Alloc, st.Delivery, j, k, st.Mode, nil)
+			src, viaEdge, _ := p.intent(j, k)
 			if !viaEdge {
 				continue
 			}
