@@ -405,14 +405,14 @@ func BenchmarkDESBurst(b *testing.B) {
 
 // --- Phase 1 perf-trajectory benches -------------------------------
 //
-// The tracked baseline lives in BENCH_phase1.json (regenerate with
-// `go run ./cmd/iddebench -perfjson BENCH_phase1.json`); the benches
-// below cover the same trajectory through `go test -bench` at scales
-// that stay CI-friendly: full-scan/naive reference variants only up to
-// M=500 (the perfbench ladder measures the M=2000 reference point,
-// ~75s per solve on one core).
+// Micro and ladder benches for `go test -bench`, at scales that stay
+// CI-friendly: full-scan/naive reference variants only up to M=500 (a
+// reference solve at M=2000 took ~75 s on one core). The repository
+// benchmark (idbench/, BENCHMARK.json) is where tracked performance
+// numbers come from.
 
-// perfScale builds the perfbench-ladder instance for M users.
+// perfScale builds the Phase 1 ladder instance for M users: N = M/20
+// (at least 10), K=5, density 1.0, seed 2022.
 func perfScale(b *testing.B, m int) *model.Instance {
 	b.Helper()
 	n := m / 20
@@ -508,8 +508,8 @@ func BenchmarkGameRun(b *testing.B) {
 }
 
 // BenchmarkPhase1Solve is the headline trajectory: the optimized engine
-// across the perfbench ladder (M=10000 via -perfjson only) against the
-// literal-Algorithm-1 reference at the CI-affordable scales.
+// across the Phase 1 ladder against the literal-Algorithm-1 reference
+// at the CI-affordable scales.
 func BenchmarkPhase1Solve(b *testing.B) {
 	cases := []struct {
 		name string
@@ -537,9 +537,7 @@ func BenchmarkPhase1Solve(b *testing.B) {
 
 // --- Phase 2 perf-trajectory benches -------------------------------
 //
-// The tracked baseline lives in BENCH_phase2.json (regenerate with
-// `go run ./cmd/iddebench -perf2json BENCH_phase2.json`); the benches
-// below cover the request-heavy ladder (M/N = 40) through
+// The benches below cover the request-heavy ladder (M/N = 40) through
 // `go test -bench` at CI-affordable scales.
 
 // perfScale2 builds the Phase 2 ladder instance for M users along with
@@ -583,7 +581,7 @@ func BenchmarkLatencyGain(b *testing.B) {
 // BenchmarkPhase2Solve is the Phase 2 headline trajectory: the
 // optimized engine (cohort oracle + parallel-seeded CELF) against the
 // naive-oracle CELF run and the literal re-scan reference at the
-// CI-affordable scales (the M=4000 points live in BENCH_phase2.json).
+// CI-affordable scales.
 func BenchmarkPhase2Solve(b *testing.B) {
 	seq := placement.NewOptions(placement.Options{})
 	cases := []struct {

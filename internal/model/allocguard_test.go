@@ -8,14 +8,13 @@ import (
 	"idde/internal/rng"
 )
 
-// Steady-state zero-allocation guards for the hot paths the memory
-// baseline tracks (BENCH_mem.json): Ledger benefit, rate and SINR
-// evaluation with warm aggregate rows, Ledger.Move maintaining them, and
+// Steady-state zero-allocation guards for the Phase 1 and Phase 2 hot
+// paths: Ledger benefit, rate and SINR evaluation with warm aggregate
+// rows, Ledger.Move maintaining them, the sparse GainRow reads, and
 // DeliveryOracle.GainOf for both cohort oracles.
 // The race detector instruments allocations, so the file is excluded
 // from -race runs; the plain tier-1 `go test ./...` always runs it, and
-// the CI bench-smoke re-checks the same paths through iddebench
-// -memjson.
+// so does CI's zero-alloc step.
 
 // guardFixture builds a warm, fully-allocated ledger plus probe batches.
 func guardFixture(t *testing.T) (*Ledger, Allocation, []int, []Alloc) {

@@ -7,8 +7,8 @@
 // engine hot path receives a *Scope that may be nil, and every Scope
 // method is nil-safe and allocation-free on the nil receiver, so the
 // instrumented loops cost one predictable branch when telemetry is off
-// (guarded by AllocsPerRun in the package tests and by the existing
-// model/perfbench alloc guards). Call sites that must build attribute
+// (guarded by AllocsPerRun in the package tests and by the model,
+// shard and serve alloc guards). Call sites that must build attribute
 // maps gate on Scope.Tracing first, so the map construction itself is
 // also skipped when no tracer is attached.
 //

@@ -299,10 +299,9 @@ func tileView(in *model.Instance, p *Partition, t int, restricted [][]int) *mode
 }
 
 // Views materializes the restricted sub-instances the tile phase solves
-// over, in tile order. The perf baseline uses them to pin the tile
-// games' interior hot path — Ledger.Benefit over a tile view — at zero
-// steady-state allocations; tests use them to inspect what a tile
-// actually sees.
+// over, in tile order. Tests use them to pin the tile games' interior
+// hot path — Ledger.Benefit over a tile view — at zero steady-state
+// allocations and to inspect what a tile actually sees.
 func Views(in *model.Instance, tiles int) []*model.Instance {
 	p := MakePartition(in, tiles)
 	restricted := restrictedCoverage(in, p)

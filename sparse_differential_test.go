@@ -25,6 +25,9 @@ var sparseGrid = []struct {
 	{experiment.Params{N: 12, M: 90, K: 5, Density: 1.0}, 5},
 	{experiment.Params{N: 20, M: 150, K: 6, Density: 1.0}, 2022},
 	{experiment.Params{N: 25, M: 260, K: 5, Density: 1.0}, 21},
+	// A region-scaled map, where coverage disks thin out and the CSR
+	// rows are genuinely sparse rather than forced.
+	{experiment.Params{N: 40, M: 800, K: 5, Density: 1.0, RegionScale: 2}, 2022},
 }
 
 // sparseVariants builds the forced-sparse siblings of an instance (the
@@ -115,6 +118,27 @@ func TestSparseShardedSolveMatchesDense(t *testing.T) {
 				t.Fatalf("%v [%s]: sparse sharded solve diverges from dense", g.p, name)
 			}
 		}
+	}
+}
+
+// TestRegionScaledInstanceStaysSparse pins the automatic layout choice
+// on a scaled-out deployment: N=500 servers and M=10⁴ users on a region
+// grown by sqrt(N/125) = 2 per axis, the paper's 125-server CBD density
+// held constant. model.New must keep the CSR layout there, at under a
+// third of the dense-era gain+distance matrices.
+func TestRegionScaledInstanceStaysSparse(t *testing.T) {
+	p := experiment.Params{N: 500, M: 10000, K: 5, Density: 1.0, RegionScale: 2}
+	in, err := experiment.BuildInstance(p, 2022)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := in.LayoutStats()
+	if !in.Sparse() || !st.Sparse {
+		t.Fatalf("%v fell back to the dense gain layout: %+v", p, st)
+	}
+	if st.Bytes*3 >= st.DenseEquivBytes {
+		t.Fatalf("%v: CSR layout holds %d bytes against %d dense-era bytes, want under a third",
+			p, st.Bytes, st.DenseEquivBytes)
 	}
 }
 
