@@ -42,14 +42,14 @@ type Options struct {
 	// NaiveInterference switches the Phase 1 ledger to the O(occupancy)
 	// reference scan for the Eq. 2 inter-cell term instead of the
 	// incremental aggregates. Results agree up to floating-point
-	// summation order; used for differential tests, drift-sensitive
-	// debugging and the perf baseline.
+	// summation order; ReferenceOptions sets it, and the differential
+	// suites and the root benches run it as the reference.
 	NaiveInterference bool
 	// NaiveLatency switches the Phase 2 oracle from the cohort-aggregated
 	// suffix queries back to the per-request LatencyState walk. Gains
 	// agree up to floating-point summation order and the committed
-	// replica sequences are identical; used for differential tests and
-	// the Phase 2 perf baseline.
+	// replica sequences are identical; ReferenceOptions sets it, and the
+	// differential suites and the root benches run it as the reference.
 	NaiveLatency bool
 	// CohortBatch switches Phase 2 to the Commit-batching oracle
 	// (model.BatchCohortLatencyState) and enables per-item staleness
@@ -60,12 +60,11 @@ type Options struct {
 	// suffix rebuild. Ignored when NaiveLatency is set (the two select
 	// different oracles for the same slot).
 	CohortBatch bool
-	// AggRowBudget caps how many Phase 1 interference aggregate rows
-	// stay resident at once (0 = unlimited). Evaluations against
-	// non-resident receivers use a bit-identical per-cell fold, so the
-	// equilibrium is unchanged; peak aggregate memory shrinks from
-	// O(N²·K̄) toward O(budget·N) at the price of wall-clock on cold
-	// receivers. See model.Ledger.SetAggRowBudget.
+	// AggRowBudget is ignored: the Phase 1 ledger builds each aggregate
+	// row once and keeps it.
+	//
+	// Deprecated: has no effect. It stays declared because the idbench
+	// benchmark module reads it.
 	AggRowBudget int
 	// Placement configures the Phase 2 greedy engine (parallel seed
 	// scan). The zero value is replaced by placement.DefaultOptions();
@@ -85,13 +84,12 @@ type Options struct {
 	NoSweepSkip bool
 	// Shards switches Solve to the geo-sharded solver (internal/shard):
 	// the instance is partitioned into that many coverage-connected
-	// tiles, both phases run per tile on their own worker/ledger/arena,
+	// tiles, both phases run per tile on their own worker and ledger,
 	// and a bounded deterministic halo-exchange plus a global CELF
 	// reconcile pass stitch the boundary back together. 0 (the default)
 	// keeps the global path; Shards=1 is bit-identical to it (pinned by
 	// shard_differential_test.go). Multi-tile results are deterministic
-	// and GOMAXPROCS-independent but approximate near tile boundaries;
-	// per-tile row budgets reuse AggRowBudget.
+	// and GOMAXPROCS-independent but approximate near tile boundaries.
 	Shards int
 	// ShardHaloRounds caps the halo-exchange sweeps of a sharded solve
 	// (0 = shard.DefaultHaloRounds, negative = no exchange). Ignored
@@ -122,8 +120,8 @@ func DefaultOptions() Options {
 // naive O(occupancy) interference evaluator, and the literal Phase 2
 // argmax re-scan over the per-request latency walk with sequential
 // seeding. It is behavior-identical to DefaultOptions up to
-// floating-point summation order and serves as the differential-test
-// and perf-baseline reference.
+// floating-point summation order and is the reference the differential
+// suites and the root benches compare against.
 func ReferenceOptions() Options {
 	g := game.DefaultOptions()
 	g.FullScan = true
@@ -194,12 +192,20 @@ type Result struct {
 
 // SolvePhase1 runs Phase 1 alone — the IDDE-U best-response game from
 // the all-unallocated profile — and returns the equilibrium allocation
-// with the dynamics stats. Perf baselines use it to time Phase 1
-// without Phase 2 noise; Solve goes through the same path.
+// with the dynamics stats. Tests and benches use it to check and time
+// Phase 1 without Phase 2; Solve goes through the same path.
 func SolvePhase1(in *model.Instance, opt Options) (model.Allocation, game.Stats) {
 	if opt.DenseInstance {
 		in = in.Densified()
 	}
+	ledger, st := runPhase1(in, opt)
+	return ledger.Alloc(), st
+}
+
+// runPhase1 plays the Phase 1 game on a fresh ledger inside the phase1
+// span, publishes the ledger's memory gauges and returns the ledger at
+// equilibrium with the dynamics stats.
+func runPhase1(in *model.Instance, opt Options) (*model.Ledger, game.Stats) {
 	opt.Game = resolveGameOptions(opt.Game)
 	sc := scopeOf(opt)
 	opt.Game.Obs = sc
@@ -207,15 +213,12 @@ func SolvePhase1(in *model.Instance, opt Options) (model.Allocation, game.Stats)
 	if opt.NaiveInterference {
 		ledger.SetNaiveInterference(true)
 	}
-	if opt.AggRowBudget > 0 {
-		ledger.SetAggRowBudget(opt.AggRowBudget)
-	}
 	adapter := &allocGame{in: in, l: ledger, tracePotential: opt.TracePotential}
 	sc.Begin("solve", "phase1", nil)
 	st := game.Run[model.Alloc](adapter, opt.Game)
 	sc.End("solve", "phase1")
 	publishAggStats(sc, ledger)
-	return ledger.Alloc(), st
+	return ledger, st
 }
 
 // scopeOf resolves the solver-level telemetry scope: Options.Obs wins,
@@ -230,35 +233,22 @@ func scopeOf(opt Options) *obs.Scope {
 
 // publishAggStats snapshots the ledger's aggregate-row memory
 // accounting (model.AggMemStats) into gauges and, when tracing, an
-// instant event. Called after Phase 1 returns — a quiescent point, as
-// AggMemStats requires.
+// instant event.
 func publishAggStats(sc *obs.Scope, l *model.Ledger) {
 	if !sc.Enabled() {
 		return
 	}
 	st := l.AggMemStats()
 	sc.SetGauge("agg_resident_rows", float64(st.ResidentRows))
-	sc.SetGauge("agg_ever_built_rows", float64(st.EverBuiltRows))
-	sc.SetGauge("agg_row_budget", float64(st.RowBudget))
 	sc.SetGauge("agg_arena_bytes", float64(st.ArenaBytes))
-	sc.SetGauge("agg_in_use_bytes", float64(st.InUseBytes))
-	sc.SetGauge("agg_dense_equiv_bytes", float64(st.DenseEquivBytes))
 	sc.SetGauge("benefit_memo_bytes", float64(st.MemoBytes))
-	sc.Count("agg_evictions_total", st.Evictions)
-	sc.Count("agg_fallback_evals_total", st.FallbackEvals)
 	if !sc.Tracing() {
 		return
 	}
 	sc.Instant("solve", "agg_mem", map[string]any{
-		"resident_rows":     st.ResidentRows,
-		"ever_built_rows":   st.EverBuiltRows,
-		"row_budget":        st.RowBudget,
-		"arena_bytes":       st.ArenaBytes,
-		"in_use_bytes":      st.InUseBytes,
-		"dense_equiv_bytes": st.DenseEquivBytes,
-		"evictions":         st.Evictions,
-		"fallback_evals":    st.FallbackEvals,
-		"memo_bytes":        st.MemoBytes,
+		"resident_rows": st.ResidentRows,
+		"arena_bytes":   st.ArenaBytes,
+		"memo_bytes":    st.MemoBytes,
 	})
 }
 
@@ -270,25 +260,13 @@ func Solve(in *model.Instance, opt Options) *Result {
 	if opt.Shards > 0 {
 		return solveSharded(in, opt)
 	}
-	opt.Game = resolveGameOptions(opt.Game)
 	sc := scopeOf(opt)
-	opt.Game.Obs = sc
 	res := &Result{}
 
 	// Phase 1 — IDDE-U game for the user allocation profile.
 	t0 := time.Now()
-	ledger := model.NewLedger(in, model.NewAllocation(in.M()))
-	if opt.NaiveInterference {
-		ledger.SetNaiveInterference(true)
-	}
-	if opt.AggRowBudget > 0 {
-		ledger.SetAggRowBudget(opt.AggRowBudget)
-	}
-	adapter := &allocGame{in: in, l: ledger, tracePotential: opt.TracePotential}
-	sc.Begin("solve", "phase1", nil)
-	res.Phase1 = game.Run[model.Alloc](adapter, opt.Game)
-	sc.End("solve", "phase1")
-	publishAggStats(sc, ledger)
+	ledger, st := runPhase1(in, opt)
+	res.Phase1 = st
 	alloc := ledger.Alloc()
 	res.Phase1Time = time.Since(t0)
 

@@ -24,7 +24,6 @@ func solveSharded(in *model.Instance, opt Options) *Result {
 		NaiveInterference: opt.NaiveInterference,
 		NaiveLatency:      opt.NaiveLatency,
 		CohortBatch:       opt.CohortBatch,
-		AggRowBudget:      opt.AggRowBudget,
 		NoSweepSkip:       opt.NoSweepSkip,
 		Obs:               sc,
 	}

@@ -106,9 +106,9 @@ func TestGridWithinCellBorders(t *testing.T) {
 		q Point
 		r float64
 	}{
-		{Point{0, 0}, 100},  // hits four exact-radius border points
-		{Point{0, 0}, 500},  // hits the 3-4-5 points exactly
-		{Point{100, 0}, 0},  // zero radius: the point itself only
+		{Point{0, 0}, 100}, // hits four exact-radius border points
+		{Point{0, 0}, 500}, // hits the 3-4-5 points exactly
+		{Point{100, 0}, 0}, // zero radius: the point itself only
 		{Point{-100, 0}, 100},
 		{Point{-150, -150}, 70.71067811865476}, // ~50√2, near-corner
 		{Point{200, 0}, 100},

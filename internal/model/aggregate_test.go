@@ -16,6 +16,16 @@ func (l *Ledger) interCellOf(j int, a Alloc) units.Watts {
 	return f
 }
 
+// fillRandom walks every user onto a random covering decision.
+func fillRandom(in *Instance, l *Ledger, s *rng.Stream) {
+	for j := 0; j < in.M(); j++ {
+		if vs := in.Top.Coverage[j]; len(vs) > 0 {
+			i := vs[s.IntN(len(vs))]
+			l.Move(j, Alloc{Server: i, Channel: s.IntN(in.Top.Servers[i].Channels)})
+		}
+	}
+}
+
 // randomMove draws a random decision for user j: mostly a covering
 // (server, channel), occasionally Unallocated.
 func randomMove(in *Instance, j int, s *rng.Stream) Alloc {
@@ -190,4 +200,56 @@ func TestSetNaiveInterferenceRoundTrip(t *testing.T) {
 		t.Fatalf("rebuilt aggregate %g != naive %g (stale rows?)", rebuilt, naive)
 	}
 	_ = before
+}
+
+// TestAggMemStatsAccounting pins AggMemStats against the ledger's own
+// rows: a ledger that only moves holds nothing, ArenaBytes equals the
+// built rows' slices plus the co-source bitsets and does not move when
+// the Benefit memo is built, and SetNaiveInterference drops the rows
+// but keeps the bitsets.
+func TestAggMemStatsAccounting(t *testing.T) {
+	in := genInstance(t, 12, 90, 3, 8)
+	s := rng.New(77)
+	l := NewLedger(in, NewAllocation(in.M()))
+	fillRandom(in, l, s)
+	if st := l.AggMemStats(); st != (AggMemStats{}) {
+		t.Fatalf("move-only ledger reports %+v, want zero", st)
+	}
+	for probe := 0; probe < 20; probe++ {
+		j := s.IntN(in.M())
+		if vs := in.Top.Coverage[j]; len(vs) > 0 {
+			l.interCellOf(j, Alloc{Server: vs[s.IntN(len(vs))], Channel: 0})
+		}
+	}
+	var rows int
+	var rowBytes, bitBytes int64
+	for i := range l.agg {
+		if d := l.agg[i].Load(); d != nil {
+			rows++
+			rowBytes += int64(4*len(d.srcOff) + 8*len(d.vals))
+		}
+		if ss := l.srcSets[i].Load(); ss != nil {
+			bitBytes += int64(8 * len(ss.bits))
+		}
+	}
+	st := l.AggMemStats()
+	if rows == 0 || rows == in.N() {
+		t.Fatalf("%d of %d rows built; want some but not all", rows, in.N())
+	}
+	if st.ResidentRows != rows || st.ArenaBytes != rowBytes+bitBytes {
+		t.Fatalf("AggMemStats = %+v, want %d rows and %d+%d bytes", st, rows, rowBytes, bitBytes)
+	}
+	for j := 0; j < in.M(); j++ {
+		if vs := in.Top.Coverage[j]; len(vs) > 0 && l.agg[vs[0]].Load() != nil {
+			_ = l.Benefit(j, Alloc{Server: vs[0], Channel: 0})
+			break
+		}
+	}
+	if after := l.AggMemStats(); after.MemoBytes == 0 || after.ArenaBytes != st.ArenaBytes {
+		t.Fatalf("after the memo build: %+v, want ArenaBytes %d and a memo", after, st.ArenaBytes)
+	}
+	l.SetNaiveInterference(true)
+	if st := l.AggMemStats(); st.ResidentRows != 0 || st.ArenaBytes != bitBytes {
+		t.Fatalf("after SetNaiveInterference: %+v, want 0 rows and %d bitset bytes", st, bitBytes)
+	}
 }

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"idde/internal/radio"
 	"idde/internal/units"
@@ -53,16 +52,13 @@ import (
 //
 // # Aggregate-row memory
 //
-// Rows live in a per-ledger span arena (see spanArena): the srcOff and
-// vals slices of every row are views carved out of shared backing
-// slabs, and evicted rows return their spans to a free list for exact
-// reuse. SetAggRowBudget additionally bounds how many rows are resident
-// at once: non-resident receivers are served by a per-cell fold that
-// reproduces the row arithmetic bit for bit (see interCellFold), so the
-// budget trades wall-clock for memory without perturbing a single
-// result. Which rows happen to be resident depends on scheduling under
-// concurrent scans, but never the values — every evaluator answer is
-// identical across budgets, including 0 (unlimited).
+// A receiver's row is built at its first evaluation (or by
+// WarmAggregates) and kept for the ledger's lifetime; only
+// SetNaiveInterference drops the rows. A row holds 4·N bytes of source
+// offsets plus 8 bytes per channel of its co-covering sources, and
+// AggMemStats reports the total. There is no residency cap: capping
+// rows cut their memory 7.2× at N=1000 but slowed each evaluation
+// 26–41× (DESIGN.md §5e).
 type Ledger struct {
 	in    *Instance
 	alloc Allocation
@@ -91,54 +87,30 @@ type Ledger struct {
 	// srcSets[i] caches receiver i's co-covering source set as a bitset
 	// with the total channel width. It is profile-independent, built at
 	// the first row build (or the first Move that needs server i's
-	// co-covering receivers — the same set, by symmetry) and kept across
-	// evictions, so a rebuild costs O(N + width·occupancy) instead of
-	// re-deriving co-coverage from the Covered/Coverage lists
-	// (O(|Covered[i]|·|V_j|)).
+	// co-covering receivers — the same set, by symmetry) and kept when
+	// SetNaiveInterference drops the rows.
 	srcSets []atomic.Pointer[aggSrcSet]
 
-	// arenaVals/arenaOffs back the row spans; rowPool recycles the row
-	// headers. All three are guarded by aggMu.
-	arenaVals spanArena[float64]
-	arenaOffs spanArena[int32]
-	rowPool   []*aggRowData
-
-	// aggBudget caps resident rows (0 = unlimited). aggResident tracks
-	// the count; aggClock is the second-chance eviction hand; aggTouch
-	// counts row misses per receiver for the promotion threshold;
-	// aggGrace holds evicted rows whose spans are recycled only at the
-	// next Move — a quiescent point by the Adapter contract — so
-	// concurrent readers holding an evicted row keep reading intact
-	// (and, between Moves, still current) values.
-	aggBudget    int
-	aggResident  atomic.Int32
-	aggClock     int
-	aggTouch     []atomic.Uint32
-	aggGrace     []*aggRowData
-	aggEvictions int64
-	aggFallbacks atomic.Int64
-
-	// everBuilt/everRows/everWidth record which receivers ever had a
-	// row, for the dense-equivalent accounting of AggMemStats.
-	everBuilt   []bool
-	everRows    int
-	everWidth   int64
+	// rowBytes counts the bytes of the built rows' slices; it is
+	// nonzero exactly when some row is built. srcSetBytes counts the
+	// bitsets. Both change only under aggMu.
+	rowBytes    atomic.Int64
 	srcSetBytes int64
 
-	// naive switches interCell to the O(occupancy) reference scan.
+	// naive switches the inter-cell term to the O(occupancy) reference
+	// scan.
 	naive bool
 }
 
 // NewLedger builds a ledger over a copy of the given profile.
 func NewLedger(in *Instance, alloc Allocation) *Ledger {
 	l := &Ledger{
-		in:        in,
-		alloc:     alloc.Clone(),
-		users:     make([][][]int, in.N()),
-		power:     make([][]units.Watts, in.N()),
-		agg:       make([]atomic.Pointer[aggRowData], in.N()),
-		srcSets:   make([]atomic.Pointer[aggSrcSet], in.N()),
-		everBuilt: make([]bool, in.N()),
+		in:      in,
+		alloc:   alloc.Clone(),
+		users:   make([][][]int, in.N()),
+		power:   make([][]units.Watts, in.N()),
+		agg:     make([]atomic.Pointer[aggRowData], in.N()),
+		srcSets: make([]atomic.Pointer[aggSrcSet], in.N()),
 	}
 	for i := 0; i < in.N(); i++ {
 		c := in.Top.Servers[i].Channels
@@ -257,46 +229,20 @@ func (m *benefitMemo) moved(covered [][]int, j int, from, to Alloc) {
 // inter-cell interference term of Eq. (2). The aggregate evaluator is a
 // pure reassociation of the same sum; results agree up to floating-point
 // summation order (the differential tests in this package pin that
-// down). The naive path exists for drift-sensitive debugging and as the
-// perf-baseline reference. Like Move, it must not race with concurrent
-// evaluations.
+// down). The naive path is the reference that ReferenceOptions, the
+// differential suites and the root benches run, and a tool for
+// drift-sensitive debugging. Like Move, it must not race with
+// concurrent evaluations.
 func (l *Ledger) SetNaiveInterference(on bool) {
 	l.naive = on
 	// Built rows go stale while the naive path runs (Move stops
-	// maintaining them); release them so re-enabling rebuilds from
-	// scratch out of the recycled spans.
+	// maintaining them); drop them so re-enabling rebuilds from scratch.
 	l.aggMu.Lock()
 	defer l.aggMu.Unlock()
 	for i := range l.agg {
-		if d := l.agg[i].Load(); d != nil {
-			l.agg[i].Store(nil)
-			l.aggResident.Add(-1)
-			l.aggGrace = append(l.aggGrace, d)
-		}
+		l.agg[i].Store(nil)
 	}
-	l.drainGraceLocked()
-}
-
-// SetAggRowBudget bounds how many aggregate rows may be resident at
-// once (0 = unlimited, the default). Evaluations against non-resident
-// receivers fall back to a bit-identical per-cell fold, so every result
-// is unchanged; only memory and wall-clock trade places. Must be called
-// while no concurrent evaluations are in flight (setup time, or between
-// game rounds).
-func (l *Ledger) SetAggRowBudget(rows int) {
-	if rows < 0 {
-		rows = 0
-	}
-	l.aggMu.Lock()
-	defer l.aggMu.Unlock()
-	l.aggBudget = rows
-	if rows > 0 && l.aggTouch == nil {
-		l.aggTouch = make([]atomic.Uint32, l.in.N())
-	}
-	for rows > 0 && int(l.aggResident.Load()) > rows {
-		l.evictLocked()
-	}
-	l.drainGraceLocked()
+	l.rowBytes.Store(0)
 }
 
 // Alloc returns a snapshot of the current profile.
@@ -309,21 +255,14 @@ func (l *Ledger) Current(j int) Alloc { return l.alloc[j] }
 func (l *Ledger) Occupancy(i, x int) int { return len(l.users[i][x]) }
 
 // Move reassigns user j to decision a (possibly Unallocated),
-// maintaining the channel registries and the resident aggregate rows of
+// maintaining the channel registries and the built aggregate rows of
 // the receivers that co-cover the old or new server; a ledger with no
-// resident row pays for the registries alone. Move must not race with
-// concurrent evaluations (the game engine serializes Apply) — which
-// also makes it the quiescent point where evicted rows' spans are safe
-// to recycle.
+// built row pays for the registries alone. Move must not race with
+// concurrent evaluations (the game engine serializes Apply).
 func (l *Ledger) Move(j int, a Alloc) {
 	cur := l.alloc[j]
 	if cur == a {
 		return
-	}
-	if len(l.aggGrace) > 0 {
-		l.aggMu.Lock()
-		l.drainGraceLocked()
-		l.aggMu.Unlock()
 	}
 	if cur.Allocated() {
 		l.remove(j, cur)
@@ -340,24 +279,15 @@ func (l *Ledger) Move(j int, a Alloc) {
 }
 
 // aggRowData is one receiver's aggregate row, restricted to the sources
-// that can ever be paired with it by the Eq. 2 Coverage walk. Both
-// slices are spans into the ledger's arena, released to its free list
-// on eviction.
+// that can ever be paired with it by the Eq. 2 Coverage walk.
 type aggRowData struct {
 	// srcOff[o] is the offset of source o's channel block in vals, or
 	// -1 when o never co-covers a user with the receiver. Such cells
 	// are only reachable through off-coverage hypotheticals, which
-	// interCell serves with a single-cell reference walk instead.
+	// interCellRow serves with a single-cell reference walk instead.
 	srcOff []int32
 	vals   []float64
-	// ref is the second-chance bit read by the eviction clock; readers
-	// set it on row hits while a budget is active.
-	ref atomic.Bool
 }
-
-// aggRowHeaderBytes sizes one row header for the AggMemStats
-// accounting.
-var aggRowHeaderBytes = int64(unsafe.Sizeof(aggRowData{}))
 
 // aggSrcSet is a receiver's co-covering source set (one bit per source)
 // plus the total channel width of those sources.
@@ -369,12 +299,12 @@ type aggSrcSet struct {
 func (s *aggSrcSet) has(o int) bool { return s.bits[o>>6]&(1<<(uint(o)&63)) != 0 }
 
 // aggMove folds user j's contribution Gain[i][j]·p_j out of (from) and
-// into (to) the resident receiver rows. Co-coverage is symmetric — row
+// into (to) the built receiver rows. Co-coverage is symmetric — row
 // i has a cell for source o exactly when i ∈ srcSet(o) — so only the
 // receivers in srcSet(from.Server) ∪ srcSet(to.Server) can hold a cell
 // to update; every other row is left unread.
 func (l *Ledger) aggMove(j int, from, to Alloc) {
-	if l.naive || l.aggResident.Load() == 0 {
+	if l.naive || l.rowBytes.Load() == 0 {
 		return
 	}
 	// Invariant: a built cell always equals the left-to-right fold of
@@ -462,24 +392,13 @@ func (l *Ledger) srcSetLocked(i int) *aggSrcSet {
 	return ss
 }
 
-// buildRowLocked materializes receiver i's row out of the arena,
-// filling every cell with the left-to-right fold over the current
-// occupant lists (the aggMove invariant), so a rebuild after eviction
-// is bit-identical to a row that was maintained all along. Caller holds
-// aggMu.
+// buildRowLocked materializes receiver i's row, filling every cell with
+// the left-to-right fold over the current occupant lists (the aggMove
+// invariant), so a row built late is bit-identical to one maintained
+// all along. Caller holds aggMu.
 func (l *Ledger) buildRowLocked(i int) *aggRowData {
 	ss := l.srcSetLocked(i)
-	var d *aggRowData
-	if n := len(l.rowPool); n > 0 {
-		d = l.rowPool[n-1]
-		l.rowPool[n-1] = nil
-		l.rowPool = l.rowPool[:n-1]
-		d.ref.Store(false)
-	} else {
-		d = &aggRowData{}
-	}
-	d.srcOff = l.arenaOffs.alloc(l.in.N())
-	d.vals = l.arenaVals.alloc(int(ss.width))
+	d := &aggRowData{srcOff: make([]int32, l.in.N()), vals: make([]float64, ss.width)}
 	var off int32
 	for o := range d.srcOff {
 		if !ss.has(o) {
@@ -503,61 +422,12 @@ func (l *Ledger) buildRowLocked(i int) *aggRowData {
 			d.vals[int(off)+x] = sum
 		}
 	}
-	if !l.everBuilt[i] {
-		l.everBuilt[i] = true
-		l.everRows++
-		l.everWidth += int64(ss.width)
-	}
-	l.aggResident.Add(1)
+	l.rowBytes.Add(int64(4*len(d.srcOff) + 8*len(d.vals)))
 	l.agg[i].Store(d)
 	return d
 }
 
-// evictLocked detaches one resident row, chosen by a second-chance
-// clock over the receiver indices, onto the grace list. The spans are
-// recycled at the next Move, never immediately: a concurrent reader
-// that loaded the row before the eviction keeps reading intact — and,
-// since no Move has intervened, still current — values. Caller holds
-// aggMu.
-func (l *Ledger) evictLocked() {
-	n := len(l.agg)
-	for scanned := 0; scanned < 2*n; scanned++ {
-		i := l.aggClock
-		if l.aggClock++; l.aggClock == n {
-			l.aggClock = 0
-		}
-		d := l.agg[i].Load()
-		if d == nil {
-			continue
-		}
-		if d.ref.Load() {
-			d.ref.Store(false)
-			continue
-		}
-		l.agg[i].Store(nil)
-		l.aggResident.Add(-1)
-		l.aggEvictions++
-		l.aggGrace = append(l.aggGrace, d)
-		return
-	}
-}
-
-// drainGraceLocked releases evicted rows' spans back to the arena and
-// their headers to the pool. Only called at quiescent points (Move,
-// SetNaiveInterference, SetAggRowBudget). Caller holds aggMu.
-func (l *Ledger) drainGraceLocked() {
-	for idx, d := range l.aggGrace {
-		l.arenaOffs.release(d.srcOff)
-		l.arenaVals.release(d.vals)
-		d.srcOff, d.vals = nil, nil
-		l.rowPool = append(l.rowPool, d)
-		l.aggGrace[idx] = nil
-	}
-	l.aggGrace = l.aggGrace[:0]
-}
-
-// aggRow returns the receiver-i aggregate row, building it on first use
-// (and evicting a victim first when the resident budget is exhausted).
+// aggRow returns the receiver-i aggregate row, building it on first use.
 // Safe for concurrent callers between Moves.
 func (l *Ledger) aggRow(i int) *aggRowData {
 	if d := l.agg[i].Load(); d != nil {
@@ -568,31 +438,7 @@ func (l *Ledger) aggRow(i int) *aggRowData {
 	if d := l.agg[i].Load(); d != nil {
 		return d
 	}
-	if l.aggBudget > 0 && int(l.aggResident.Load()) >= l.aggBudget {
-		l.evictLocked()
-	}
 	return l.buildRowLocked(i)
-}
-
-// aggPromoteAfter is the miss count at which a non-resident receiver is
-// promoted to a row while the budget is full. Promotion costs a rebuild
-// plus an eviction, i.e. many fold-fallback evaluations; the threshold
-// keeps a one-off probe from thrashing a hot row out.
-const aggPromoteAfter = 4
-
-// aggFault handles a row miss under an active budget: build immediately
-// while under budget, otherwise count the touch and promote only once
-// the receiver has proven hot. Returns nil when the caller should use
-// the fold fallback.
-func (l *Ledger) aggFault(i int) *aggRowData {
-	if int(l.aggResident.Load()) < l.aggBudget {
-		return l.aggRow(i)
-	}
-	if t := l.aggTouch[i].Add(1); int(t) < aggPromoteAfter {
-		return nil
-	}
-	l.aggTouch[i].Store(0)
-	return l.aggRow(i)
 }
 
 func (l *Ledger) remove(j int, a Alloc) {
@@ -610,16 +456,16 @@ func (l *Ledger) remove(j int, a Alloc) {
 	}
 }
 
-// servingGain reports g = Gain[a.Server][j] and whether a.Server covers
-// j. In-coverage gains come from the covGain table; off-coverage
-// hypotheticals fall back to the instance lookup.
-func (l *Ledger) servingGain(j int, a Alloc) (g float64, inCov bool) {
+// servingGain reports g = Gain[a.Server][j]. In-coverage gains come
+// from the covGain table; off-coverage hypotheticals fall back to the
+// instance lookup.
+func (l *Ledger) servingGain(j int, a Alloc) float64 {
 	for k, i := range l.in.Top.Coverage[j] {
 		if i == a.Server {
-			return l.covGain[int(l.covBase[j])+k], true
+			return l.covGain[int(l.covBase[j])+k]
 		}
 	}
-	return l.in.GainAt(a.Server, j), false
+	return l.in.GainAt(a.Server, j)
 }
 
 // link evaluates the two link quantities of Eq. (2) for user j under
@@ -630,36 +476,17 @@ func (l *Ledger) link(j int, a Alloc) (float64, units.Watts) {
 	if l.naive {
 		return l.in.GainAt(a.Server, j), l.interCellNaive(j, a)
 	}
-	g, inCov := l.servingGain(j, a)
-	return g, l.interCell(j, a, g, inCov)
+	g := l.servingGain(j, a)
+	return g, l.interCellRow(j, a, l.aggRow(a.Server), g)
 }
 
-// interCell computes F_{i,x,j} of Eq. (2): the interference measured at
-// server i on channel x from users allocated to channel x of the *other*
-// servers covering user j, under the hypothesis that j itself sits at
-// (i,x) (so j never self-interferes). It reads one pre-aggregated sum
-// per covering server — O(|V_j|) — and subtracts j's own contribution
-// g·p_j where j currently occupies a summed channel. Under a row
-// budget, misses on cold receivers are served by interCellFold instead
-// of faulting the row in.
-func (l *Ledger) interCell(j int, a Alloc, g float64, inCov bool) units.Watts {
-	d := l.agg[a.Server].Load()
-	if d == nil {
-		if l.aggBudget > 0 {
-			if d = l.aggFault(a.Server); d == nil {
-				return l.interCellFold(j, a, g, inCov)
-			}
-		} else {
-			d = l.aggRow(a.Server)
-		}
-	} else if l.aggBudget > 0 && !d.ref.Load() {
-		d.ref.Store(true)
-	}
-	return l.interCellRow(j, a, d, g)
-}
-
-// interCellRow reads the Eq. 2 inter-cell term out of a resident row;
-// g is Gain[a.Server][j], the weight of j's own contribution.
+// interCellRow computes F_{i,x,j} of Eq. (2): the interference measured
+// at server i on channel x from users allocated to channel x of the
+// *other* servers covering user j, under the hypothesis that j itself
+// sits at (i,x) (so j never self-interferes). It reads one
+// pre-aggregated sum per covering server out of d, receiver i's row —
+// O(|V_j|) — and subtracts j's own contribution g·p_j, g = Gain[i][j],
+// where j currently occupies a summed channel.
 func (l *Ledger) interCellRow(j int, a Alloc, d *aggRowData, g float64) units.Watts {
 	cur := l.alloc[j]
 	var f float64
@@ -694,42 +521,6 @@ func (l *Ledger) interCellRow(j int, a Alloc, d *aggRowData, g float64) units.Wa
 	return units.Watts(f)
 }
 
-// interCellFold serves a row miss without materializing the row: each
-// cell the row path would read is recomputed as the same left-to-right
-// fold over users[o][x] that builds (and maintains) row cells, then
-// added to the total — reproducing the row path's arithmetic, including
-// the self-term subtraction, bit for bit. Every o in Coverage[j]
-// co-covers j with a.Server whenever a.Server itself covers j, so the
-// in-coverage case (every probe the game issues) maps one-to-one onto
-// row cells; the off-coverage corner cannot distinguish present from
-// absent cells locally and forces the row in instead.
-func (l *Ledger) interCellFold(j int, a Alloc, g float64, inCov bool) units.Watts {
-	if !inCov {
-		return l.interCellRow(j, a, l.aggRow(a.Server), g)
-	}
-	l.aggFallbacks.Add(1)
-	cur := l.alloc[j]
-	gi := l.in.GainRow(a.Server)
-	var f float64
-	for _, o := range l.in.Top.Coverage[j] {
-		if o == a.Server || a.Channel >= len(l.users[o]) {
-			continue
-		}
-		var sum float64
-		for _, t := range l.users[o][a.Channel] {
-			sum += gi.At(t) * float64(l.in.Top.Users[t].Power)
-		}
-		f += sum
-		if cur.Server == o && cur.Channel == a.Channel {
-			f -= g * float64(l.in.Top.Users[j].Power)
-		}
-	}
-	if f < 0 {
-		f = 0 // guard fp drift from the self-term subtraction
-	}
-	return units.Watts(f)
-}
-
 // interCellNaive is the reference evaluator: walk every co-channel
 // occupant of every covering server (O(|V_j|·occupancy)).
 func (l *Ledger) interCellNaive(j int, a Alloc) units.Watts {
@@ -749,9 +540,9 @@ func (l *Ledger) interCellNaive(j int, a Alloc) units.Watts {
 	return units.Watts(f)
 }
 
-// WarmAggregates builds aggregate rows in ascending receiver order up
-// to the resident budget (all of them when unlimited), so benchmarks
-// and latency-sensitive callers can pay the build cost up front.
+// WarmAggregates builds every aggregate row not yet built, in ascending
+// receiver order, so benchmarks and latency-sensitive callers pay the
+// build cost up front instead of at each receiver's first evaluation.
 func (l *Ledger) WarmAggregates() {
 	if l.naive {
 		return
@@ -759,69 +550,40 @@ func (l *Ledger) WarmAggregates() {
 	l.aggMu.Lock()
 	defer l.aggMu.Unlock()
 	for i := range l.agg {
-		if l.aggBudget > 0 && int(l.aggResident.Load()) >= l.aggBudget {
-			break
+		if l.agg[i].Load() == nil {
+			l.buildRowLocked(i)
 		}
-		if l.agg[i].Load() != nil {
-			continue
-		}
-		l.buildRowLocked(i)
 	}
 }
 
 // AggMemStats is a snapshot of the aggregate-row memory accounting.
 type AggMemStats struct {
-	// ResidentRows counts rows currently materialized; EverBuiltRows
-	// counts receivers that had a row at any point (the set the
-	// unbounded layout would keep resident).
-	ResidentRows  int
-	EverBuiltRows int
-	// RowBudget echoes SetAggRowBudget (0 = unlimited).
-	RowBudget int
-	// ArenaBytes is the backing-slab footprint (resident spans plus
-	// free-list capacity) including the persistent co-source bitsets
-	// and row headers; InUseBytes narrows to spans owned by resident
-	// rows. DenseEquivBytes is what the unbounded layout would hold for
-	// every ever-built receiver — the baseline the budget is measured
-	// against.
-	ArenaBytes      int64
-	InUseBytes      int64
-	DenseEquivBytes int64
-	// Evictions counts budget-driven row detachments; FallbackEvals
-	// counts interference evaluations served by the fold fallback.
-	Evictions     int64
-	FallbackEvals int64
+	// ResidentRows counts the built rows.
+	ResidentRows int
+	// ArenaBytes is the bytes held by the built rows' slices and the
+	// co-source bitsets.
+	ArenaBytes int64
 	// MemoBytes is the Benefit memo's footprint (values, validity masks
 	// and lookup hints; 0 until the first Benefit). It is not part of
 	// ArenaBytes.
 	MemoBytes int64
 }
 
-// AggMemStats reports the aggregate-row memory accounting. It must be
-// called at a quiescent point (no concurrent evaluations): like Move,
-// it first recycles the spans of evicted rows parked on the grace list,
-// so the snapshot reflects what actually stays resident rather than
-// eviction churn awaiting its next quiescent point.
+// AggMemStats reports the aggregate-row memory accounting. Rows that
+// concurrent evaluations build while it runs may or may not be counted.
 func (l *Ledger) AggMemStats() AggMemStats {
 	l.aggMu.Lock()
 	defer l.aggMu.Unlock()
-	l.drainGraceLocked()
-	resident := int(l.aggResident.Load())
-	headers := int64(resident + len(l.aggGrace) + len(l.rowPool))
-	return AggMemStats{
-		ResidentRows:  resident,
-		EverBuiltRows: l.everRows,
-		RowBudget:     l.aggBudget,
-		ArenaBytes: int64(l.arenaVals.total)*8 + int64(l.arenaOffs.total)*4 +
-			l.srcSetBytes + headers*aggRowHeaderBytes,
-		InUseBytes: int64(l.arenaVals.inUse)*8 + int64(l.arenaOffs.inUse)*4 +
-			l.srcSetBytes + int64(resident)*aggRowHeaderBytes,
-		DenseEquivBytes: int64(l.everRows)*(int64(4*l.in.N())+aggRowHeaderBytes) +
-			8*l.everWidth,
-		Evictions:     l.aggEvictions,
-		FallbackEvals: l.aggFallbacks.Load(),
-		MemoBytes:     l.memoBytes(),
+	st := AggMemStats{
+		ArenaBytes: l.rowBytes.Load() + l.srcSetBytes,
+		MemoBytes:  l.memoBytes(),
 	}
+	for i := range l.agg {
+		if l.agg[i].Load() != nil {
+			st.ResidentRows++
+		}
+	}
+	return st
 }
 
 func (l *Ledger) memoBytes() int64 {
@@ -877,7 +639,7 @@ func (l *Ledger) RateIgnoringInterCell(j int, a Alloc) units.Rate {
 	if !a.Allocated() {
 		return 0
 	}
-	g, _ := l.servingGain(j, a)
+	g := l.servingGain(j, a)
 	sinr := l.in.Radio.SINR(g, l.in.Top.Users[j].Power, l.intraOther(j, a), 0)
 	b := l.in.Top.Servers[a.Server].Bandwidth
 	return radio.CapRate(radio.ShannonRate(b, sinr), l.in.Top.Users[j].MaxRate)
@@ -917,14 +679,14 @@ func (l *Ledger) Benefit(j int, a Alloc) float64 {
 				return m.val[s]
 			}
 			g := l.covGain[c]
-			b := l.benefit(j, a, g, l.interCell(j, a, g, true))
+			b := l.benefit(j, a, g, l.interCellRow(j, a, l.aggRow(a.Server), g))
 			m.val[s] = b
 			*w |= bit
 			return b
 		}
 	}
 	g := l.in.GainAt(a.Server, j)
-	return l.benefit(j, a, g, l.interCell(j, a, g, false))
+	return l.benefit(j, a, g, l.interCellRow(j, a, l.aggRow(a.Server), g))
 }
 
 // benefit evaluates Eq. (12) from the link quantities of decision a.

@@ -78,7 +78,7 @@ func TestFlightMergeDeterministicAcrossSharding(t *testing.T) {
 				if rec.Round != r {
 					continue
 				}
-				f.Shard(i%workers).Add(rec)
+				f.Shard(i % workers).Add(rec)
 			}
 			f.MergeRound()
 		}
@@ -103,7 +103,7 @@ func TestFlightRingEviction(t *testing.T) {
 	f := NewFlightRecorder(2, 5, 1, 1)
 	for r := 0; r < 4; r++ {
 		for i := 0; i < 3; i++ {
-			f.Shard(i%2).Add(FlightRecord{Round: r, Index: i})
+			f.Shard(i % 2).Add(FlightRecord{Round: r, Index: i})
 		}
 		f.MergeRound()
 	}

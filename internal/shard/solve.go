@@ -62,9 +62,10 @@ type Config struct {
 	NaiveInterference bool
 	NaiveLatency      bool
 	CohortBatch       bool
-	// AggRowBudget is the per-tile ledger aggregate-row budget (0 =
-	// unlimited). Each tile owns its own arena and budget, so total
-	// resident rows scale with tiles × budget.
+	// AggRowBudget is ignored: aggregate rows are built once and kept.
+	//
+	// Deprecated: has no effect. It stays declared because the idbench
+	// benchmark module sets it.
 	AggRowBudget int
 
 	// Obs receives the solver telemetry. When a tracer is attached,
@@ -374,9 +375,6 @@ func Solve(in *model.Instance, cfg Config) *Result {
 		if cfg.NaiveInterference {
 			l.SetNaiveInterference(true)
 		}
-		if cfg.AggRowBudget > 0 {
-			l.SetAggRowBudget(cfg.AggRowBudget)
-		}
 		ledgers[t] = l
 		if tsc.Tracing() {
 			tsc.Begin("shard", "tile_phase1", map[string]any{
@@ -430,10 +428,7 @@ func Solve(in *model.Instance, cfg Config) *Result {
 		if cfg.NaiveInterference {
 			haloLedger.SetNaiveInterference(true)
 		}
-		if cfg.AggRowBudget > 0 {
-			haloLedger.SetAggRowBudget(cfg.AggRowBudget)
-		}
-		ledgers = nil // tile ledgers (arenas, rows) are dead: release
+		ledgers = nil // tile ledgers (rows, memos) are dead: release
 		res.Stats.HaloConverged = runExchange(in, p, haloLedger, restricted, cfg, sc, &res.Stats)
 	}
 	res.SweepTime = time.Since(t1)

@@ -13,10 +13,10 @@ import (
 )
 
 // The end-to-end differential suite for the large-N memory work: the
-// bounded aggregate-row ledger, the Commit-batching Phase 2 oracle and
-// the worker-pool scans must all reproduce the unbounded single-core
-// results exactly — not approximately — across allocation, replica
-// sequence and every reported stat.
+// Commit-batching Phase 2 oracle and the worker-pool scans must both
+// reproduce the default single-core results exactly — not
+// approximately — across allocation, replica sequence and every
+// reported stat.
 
 // deepenBudgets raises every server's storage capacity to at least
 // eight mean item sizes, the regime where the greedy loop commits many
@@ -53,8 +53,8 @@ func TestDeliveryBatchOracleOnDeepBudgets(t *testing.T) {
 	}
 }
 
-// solveFingerprint is the worker-count- and budget-independent slice of
-// a core.Result: everything except wall-clock.
+// solveFingerprint is the worker-count-independent slice of a
+// core.Result: everything except wall-clock.
 type solveFingerprint struct {
 	Alloc       model.Allocation
 	Delivery    *model.Delivery
@@ -112,52 +112,17 @@ func TestSolveGomaxprocsInvariance(t *testing.T) {
 	}
 }
 
-// TestSolveAggRowBudgetMatchesUnbounded pins the bounded-residency
-// ledger: capping the resident aggregate rows — all the way down to a
-// single row, where almost every evaluation takes the fold fallback or
-// a fault-triggered rebuild — must leave the equilibrium allocation and
-// the game stats exactly identical to the unbounded ledger, because
-// both the fallback and rebuilt rows replay the same left-to-right
-// fold the maintained rows hold.
-func TestSolveAggRowBudgetMatchesUnbounded(t *testing.T) {
-	for _, p := range []experiment.Params{
-		{N: 12, M: 90, K: 5, Density: 1.0},
-		{N: 25, M: 260, K: 5, Density: 1.0},
-	} {
-		in, err := experiment.BuildInstance(p, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		baseAlloc, baseStats := core.SolvePhase1(in, core.DefaultOptions())
-		for _, budget := range []int{1, 3, p.N / 4, p.N / 2} {
-			if budget < 1 {
-				continue
-			}
-			opt := core.DefaultOptions()
-			opt.AggRowBudget = budget
-			alloc, stats := core.SolvePhase1(in, opt)
-			if !reflect.DeepEqual(alloc, baseAlloc) {
-				t.Fatalf("%v budget=%d: equilibrium allocation diverges from unbounded", p, budget)
-			}
-			if stats != baseStats {
-				t.Fatalf("%v budget=%d: game stats diverge: %+v vs %+v", p, budget, stats, baseStats)
-			}
-		}
-	}
-}
-
-// TestSolveAggRowBudgetEndToEnd runs the full two-phase solve under a
-// tight row budget and checks the complete result fingerprint against
-// the unbounded solve — Phase 2 consumes the Phase 1 equilibrium, so
-// any budget-induced drift would surface in the delivery profile too.
-func TestSolveAggRowBudgetEndToEnd(t *testing.T) {
+// TestSolveCohortBatchEndToEnd runs the full two-phase solve with the
+// Commit-batching oracle and checks the complete result fingerprint
+// against the default solve: everything observable must match exactly,
+// and the per-item staleness epochs must save oracle calls.
+func TestSolveCohortBatchEndToEnd(t *testing.T) {
 	in, err := experiment.BuildInstance(experiment.Params{N: 20, M: 200, K: 6, Density: 1.0}, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := fingerprint(core.Solve(in, core.DefaultOptions()))
 	opt := core.DefaultOptions()
-	opt.AggRowBudget = 5
 	opt.CohortBatch = true
 	got := fingerprint(core.Solve(in, opt))
 	if got.Evaluations >= base.Evaluations {
@@ -169,6 +134,6 @@ func TestSolveAggRowBudgetEndToEnd(t *testing.T) {
 	// allocation, profile, stats, objectives — must match exactly.
 	got.Evaluations = base.Evaluations
 	if !reflect.DeepEqual(got, base) {
-		t.Fatalf("budgeted+batch solve diverges from default:\n%+v\nvs\n%+v", got, base)
+		t.Fatalf("batch solve diverges from default:\n%+v\nvs\n%+v", got, base)
 	}
 }
