@@ -29,7 +29,7 @@
 // full scan: a cached proposal is only reused when the player's payoff
 // landscape is untouched, so a fresh evaluation would return the same
 // decision bit for bit. Options.FullScan forces the literal protocol for
-// differential tests and perf baselines.
+// core.ReferenceOptions and the differential tests built on it.
 package game
 
 import (

@@ -191,14 +191,15 @@ func TestSplitSeedsMatchHashFNV(t *testing.T) {
 	}
 }
 
-// TestSplitNIntoMatchesSplitN re-roots one Stream, starting from the
+// TestSplitterIntoMatchesSplitN re-roots one Stream, starting from the
 // zero value, over children that stop short of the hand-over and past
 // it, and checks every child draws what SplitN's does.
-func TestSplitNIntoMatchesSplitN(t *testing.T) {
+func TestSplitterIntoMatchesSplitN(t *testing.T) {
 	root := New(2022)
+	sp := root.Splitter("req")
 	var dst Stream
 	for i, n := range edgeDraws {
-		root.SplitNInto(&dst, "req", i)
+		sp.Into(&dst, i)
 		ref := root.SplitN("req", i)
 		if dst.Seed() != ref.Seed() {
 			t.Fatalf("child %d: seed %#x, SplitN gives %#x", i, dst.Seed(), ref.Seed())
@@ -209,4 +210,49 @@ func TestSplitNIntoMatchesSplitN(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fnvWordBytes is FNVWord's literal definition: eight FNV-1a byte steps
+// over v's little-endian bytes.
+func fnvWordBytes(h, v uint64) uint64 {
+	for b := 0; b < 64; b += 8 {
+		h = (h ^ (v >> b & 0xff)) * fnvPrime
+	}
+	return h
+}
+
+// FuzzWordFoldAndSplitter checks the zero-byte fold of FNVWord against
+// the literal eight-step byte loop, and a Splitter's re-rooted child
+// against SplitN's for the same seed, label and index. The seed corpus
+// covers the fold's byte-count boundaries: zero, one low byte, a lone
+// top byte, all ones and a word with interior zero bytes.
+func FuzzWordFoldAndSplitter(f *testing.F) {
+	words := []uint64{0, 1, 0xff, 0x100, 1 << 56, math.MaxUint64, 0x0100000000000001, 0x00ff0000ff000000}
+	for i, v := range words {
+		f.Add(uint64(i)*0x9e3779b97f4a7c15, v, uint64(i), "req", i-1)
+	}
+	f.Add(uint64(FNVOffset), uint64(0), uint64(2022), "", math.MaxInt)
+	f.Add(uint64(0), uint64(1)<<63, uint64(math.MaxUint64), "\xff\x00é", math.MinInt)
+	f.Fuzz(func(t *testing.T, h, v, seed uint64, label string, n int) {
+		if got, want := FNVWord(h, v), fnvWordBytes(h, v); got != want {
+			t.Fatalf("FNVWord(%#x, %#x) = %#x, byte loop gives %#x", h, v, got, want)
+		}
+		root := New(seed)
+		ref := root.SplitN(label, n)
+		// dst has drawn as another child before: Into must leave
+		// nothing of that behind.
+		var dst Stream
+		sp := root.Splitter(label)
+		sp.Into(&dst, n+1)
+		dst.Float64()
+		sp.Into(&dst, n)
+		if dst.Seed() != ref.Seed() {
+			t.Fatalf("seed %d, label %q: Into(%d) seed %#x, SplitN gives %#x", seed, label, n, dst.Seed(), ref.Seed())
+		}
+		for d := 0; d < 4; d++ {
+			if got, want := dst.Float64(), ref.Float64(); got != want {
+				t.Fatalf("seed %d, label %q, n %d: draw %d = %v, SplitN's child gives %v", seed, label, n, d+1, got, want)
+			}
+		}
+	})
 }

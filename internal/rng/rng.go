@@ -9,6 +9,7 @@ package rng
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 )
 
@@ -25,7 +26,7 @@ type Stream struct {
 	// r serves every draw: own until the source hands over to its
 	// register, then a Rand over the register (see lazySource.reader).
 	r *rand.Rand
-	// own is the Rand over src, kept so SplitNInto can re-root the
+	// own is the Rand over src, kept so Splitter.Into can re-root the
 	// stream without allocating.
 	own *rand.Rand
 }
@@ -55,25 +56,38 @@ func (s *Stream) reset(seed uint64) {
 // the same child, and distinct labels yield (with overwhelming
 // probability) unrelated sequences.
 func (s *Stream) Split(label string) *Stream {
-	return New(fnvString(fnvUint64(fnvOffset, s.seed), label))
+	return New(s.labelPrefix(label))
 }
 
 // SplitN derives an independent child stream identified by label and an
 // index, for per-item or per-replica streams.
 func (s *Stream) SplitN(label string, n int) *Stream {
-	return New(s.splitNSeed(label, n))
+	return New(FNVWord(s.labelPrefix(label), uint64(n)))
 }
 
-// SplitNInto re-roots dst as the child SplitN(label, n) would return,
-// reusing dst's memory: the per-request streams of a serving loop cost
-// no allocation. dst may be a zero Stream. Whatever dst drew before is
+// labelPrefix is the FNV-1a state after the seed and the label: Split's
+// child seed, and the prefix every SplitN(label, ·) index extends.
+func (s *Stream) labelPrefix(label string) uint64 {
+	return fnvString(FNVWord(FNVOffset, s.seed), label)
+}
+
+// Splitter derives the children SplitN(label, n) of one stream for many
+// indices n. It hashes (seed, label) once, so each child costs one word
+// fold; a serving loop takes one per soak and re-roots a per-worker
+// Stream per request.
+type Splitter struct{ prefix uint64 }
+
+// Splitter returns the splitter of s's label children.
+func (s *Stream) Splitter(label string) Splitter {
+	return Splitter{prefix: s.labelPrefix(label)}
+}
+
+// Into re-roots dst as the child SplitN(label, n) would return, reusing
+// dst's memory: the per-request streams of a serving loop cost no
+// allocation. dst may be a zero Stream. Whatever dst drew before is
 // abandoned, and a Zipf built on dst must not be used afterwards.
-func (s *Stream) SplitNInto(dst *Stream, label string, n int) {
-	dst.reset(s.splitNSeed(label, n))
-}
-
-func (s *Stream) splitNSeed(label string, n int) uint64 {
-	return fnvUint64(fnvString(fnvUint64(fnvOffset, s.seed), label), uint64(n))
+func (p Splitter) Into(dst *Stream, n int) {
+	dst.reset(FNVWord(p.prefix, uint64(n)))
 }
 
 // Seed reports the seed that identifies this stream.
@@ -175,15 +189,34 @@ func (z *Zipf) Draw() int { return int(z.z.Uint64()) }
 // little-endian bytes, then the label's bytes, then (SplitN) the index's
 // eight little-endian bytes.
 const (
-	fnvOffset = 14695981039346656037
+	// FNVOffset is FNV-1a's 64-bit offset basis: the state before the
+	// first byte.
+	FNVOffset = 14695981039346656037
 	fnvPrime  = 1099511628211
 )
 
-func fnvUint64(h, v uint64) uint64 {
-	for b := 0; b < 64; b += 8 {
-		h = (h ^ (v >> b & 0xff)) * fnvPrime
+// fnvPow[k] is fnvPrime^k mod 2⁶⁴.
+var fnvPow = func() (t [9]uint64) {
+	t[0] = 1
+	for k := 1; k < len(t); k++ {
+		t[k] = t[k-1] * fnvPrime
 	}
-	return h
+	return t
+}()
+
+// FNVWord folds v's eight little-endian bytes into the FNV-1a state h,
+// giving exactly the state eight byte steps give. A zero byte's step is
+// h·fnvPrime, and multiplication mod 2⁶⁴ is associative, so the run of
+// zero bytes above v's highest nonzero one collapses into one multiply
+// by fnvPrime^k. Most hashed words are small integers (indices, counts,
+// flags) and fold in one or two byte steps.
+func FNVWord(h, v uint64) uint64 {
+	n := (bits.Len64(v) + 7) >> 3
+	for i := 0; i < n; i++ {
+		h = (h ^ v&0xff) * fnvPrime
+		v >>= 8
+	}
+	return h * fnvPow[8-n]
 }
 
 func fnvString(h uint64, s string) uint64 {

@@ -42,7 +42,8 @@ func TestSamplingOffPathZeroAllocs(t *testing.T) {
 				t.Fatal("rate-0 recorder sampled")
 			}
 			p := pairs[i%len(pairs)]
-			evalRequest(v, p[0], p[1], s, nil, nil)
+			var out RequestOutcome
+			evalRequest(v, p[0], p[1], s, &out, nil)
 			i++
 		})
 	}
@@ -55,11 +56,11 @@ func TestSamplingOffPathZeroAllocs(t *testing.T) {
 
 // TestRequestPathZeroAllocs pins the healthy served request at zero
 // allocations, on the path the soak loop takes: the per-request stream
-// re-rooted by SplitNInto, then evalRequest with the slot's previous
-// visit list passed back in. The lazily seeded source builds no
-// register for a stream this short. An eagerly seeded 4.9 KB register,
-// a fresh Stream or rand.Rand per request, an fnv hasher or a label
-// copy coming back fails this test.
+// re-rooted by the soak's "req" Splitter, then evalRequest filling the
+// slot's outcome in place over its previous visit list. The lazily
+// seeded source builds no register for a stream this short. An eagerly
+// seeded 4.9 KB register, a fresh Stream or rand.Rand per request, an
+// fnv hasher or a label copy coming back fails this test.
 func TestRequestPathZeroAllocs(t *testing.T) {
 	in := genInstance(t, 10, 60, 4, 11)
 	st := solved(t, in)
@@ -74,14 +75,14 @@ func TestRequestPathZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	pairs := requestPairs(in)
-	root := rng.New(1)
+	reqStreams := rng.New(1).Splitter("req")
 	s := new(rng.Stream)
-	visits := make([]visit, 0, 4)
+	out := RequestOutcome{visits: make([]visit, 0, 4)}
 	i := 0
 	got := testing.AllocsPerRun(2000, func() {
 		p := pairs[i%len(pairs)]
-		root.SplitNInto(s, "req", i)
-		visits = evalRequest(v, p[0], p[1], s, visits, nil).visits
+		reqStreams.Into(s, i)
+		evalRequest(v, p[0], p[1], s, &out, nil)
 		i++
 	})
 	if got != 0 {

@@ -154,8 +154,9 @@ func TestPlanTableRequestOutcomes(t *testing.T) {
 		ref := tc.v
 		ref.plan = scanPlan(tc.v.plan)
 		for i, p := range requestPairs(in) {
-			got := evalRequest(&tc.v, p[0], p[1], root.SplitN("req", i), nil, nil)
-			want := evalRequest(&ref, p[0], p[1], root.SplitN("req", i), nil, nil)
+			var got, want RequestOutcome
+			evalRequest(&tc.v, p[0], p[1], root.SplitN("req", i), &got, nil)
+			evalRequest(&ref, p[0], p[1], root.SplitN("req", i), &want, nil)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: request %d (%d,%d) = %+v, scan gives %+v", tc.name, i, p[0], p[1], got, want)
 			}
