@@ -557,8 +557,8 @@ func perfScale2(b *testing.B, m int) (*model.Instance, model.Allocation) {
 }
 
 // BenchmarkLatencyGain measures one Eq. 17 marginal-gain evaluation
-// under the cohort-aggregated suffix query versus the per-request
-// reference walk, on an identical pre-commit state.
+// under the cohort oracle versus the per-request reference walk, on an
+// identical pre-commit state.
 func BenchmarkLatencyGain(b *testing.B) {
 	for _, m := range []int{400, 2000} {
 		in, alloc := perfScale2(b, m)
@@ -566,7 +566,7 @@ func BenchmarkLatencyGain(b *testing.B) {
 			name string
 			ls   model.DeliveryOracle
 		}{
-			{"cohort", model.NewCohortLatencyState(in, alloc)},
+			{"cohort", model.NewCohortLatencyState(in, alloc, nil)},
 			{"naive", model.NewLatencyState(in, alloc)},
 		} {
 			b.Run(fmt.Sprintf("%s/M=%d", mode.name, m), func(b *testing.B) {

@@ -45,20 +45,19 @@ type Options struct {
 	// summation order; ReferenceOptions sets it, and the differential
 	// suites and the root benches run it as the reference.
 	NaiveInterference bool
-	// NaiveLatency switches the Phase 2 oracle from the cohort-aggregated
-	// suffix queries back to the per-request LatencyState walk. Gains
-	// agree up to floating-point summation order and the committed
-	// replica sequences are identical; ReferenceOptions sets it, and the
-	// differential suites and the root benches run it as the reference.
+	// NaiveLatency switches the Phase 2 oracle from the cohort oracle
+	// (model.CohortLatencyState) to the per-request LatencyState walk.
+	// Gains, totals and committed replica sequences are bit-identical;
+	// only the evaluation cost differs. ReferenceOptions sets it, and
+	// the differential suites and the root benches run it as the
+	// reference.
 	NaiveLatency bool
-	// CohortBatch switches Phase 2 to the Commit-batching oracle
-	// (model.BatchCohortLatencyState) and enables per-item staleness
-	// epochs in the CELF engine (placement.Options.ItemLocalGains).
-	// Gains, totals and committed replica sequences are bit-identical
-	// to the default cohort oracle; memory drops from O(requests) to
-	// O(cohorts) and deep replica budgets stop paying a per-Commit
-	// suffix rebuild. Ignored when NaiveLatency is set (the two select
-	// different oracles for the same slot).
+	// CohortBatch is ignored: the Commit-batching cohort oracle is the
+	// only optimized Phase 2 oracle, and the CELF engine always tracks
+	// staleness per item.
+	//
+	// Deprecated: has no effect. It stays declared because the idbench
+	// benchmark module reads it.
 	CohortBatch bool
 	// AggRowBudget is ignored: the Phase 1 ledger builds each aggregate
 	// row once and keeps it.
@@ -134,32 +133,6 @@ func ReferenceOptions() Options {
 	}
 }
 
-// resolveGameOptions replaces an unset zero-value game.Options with the
-// defaults. Explicitly configured options — even all-zero ones, which
-// carry game.Options.Set — pass through verbatim. A telemetry scope is
-// not configuration: it is stripped before the zero-value comparison
-// and re-attached, so Options{Obs: sc} still resolves to the defaults.
-func resolveGameOptions(o game.Options) game.Options {
-	sc := o.Obs
-	o.Obs = nil
-	if o == (game.Options{}) {
-		o = game.DefaultOptions()
-	}
-	o.Obs = sc
-	return o
-}
-
-// resolvePlacementOptions is the placement.Options analogue.
-func resolvePlacementOptions(o placement.Options) placement.Options {
-	sc := o.Obs
-	o.Obs = nil
-	if o == (placement.Options{}) {
-		o = placement.DefaultOptions()
-	}
-	o.Obs = sc
-	return o
-}
-
 // Result carries the strategy and the instrumentation the theorems talk
 // about.
 type Result struct {
@@ -206,7 +179,7 @@ func SolvePhase1(in *model.Instance, opt Options) (model.Allocation, game.Stats)
 // span, publishes the ledger's memory gauges and returns the ledger at
 // equilibrium with the dynamics stats.
 func runPhase1(in *model.Instance, opt Options) (*model.Ledger, game.Stats) {
-	opt.Game = resolveGameOptions(opt.Game)
+	opt.Game = opt.Game.Resolve()
 	sc := scopeOf(opt)
 	opt.Game.Obs = sc
 	ledger := model.NewLedger(in, model.NewAllocation(in.M()))
@@ -298,8 +271,8 @@ func Solve(in *model.Instance, opt Options) *Result {
 // SolveDelivery exposes Phase 2 alone for a caller-supplied allocation
 // (the CDP baseline reuses it with its own allocation rule). The naive
 // flag toggles the greedy engine only (literal re-scan vs CELF); both
-// run the cohort oracle, so their gains — not just their sequences —
-// match exactly. Use SolveDeliveryOpt for full oracle/engine control.
+// run the cohort oracle. Use SolveDeliveryOpt for full oracle/engine
+// control.
 func SolveDelivery(in *model.Instance, alloc model.Allocation, naive bool) (*model.Delivery, placement.Result) {
 	return solveDelivery(in, alloc, Options{NaiveGreedy: naive})
 }
@@ -311,83 +284,21 @@ func SolveDeliveryOpt(in *model.Instance, alloc model.Allocation, opt Options) (
 	return solveDelivery(in, alloc, opt)
 }
 
+// solveDelivery runs Phase 2 over every server through the shared
+// placement.Deliver driver inside the phase2 span.
 func solveDelivery(in *model.Instance, alloc model.Allocation, opt Options) (*model.Delivery, placement.Result) {
-	oracle := &deliveryOracle{
-		in: in,
-		d:  model.NewDelivery(in.N(), in.K()),
-	}
-	switch {
-	case opt.NaiveLatency:
-		oracle.ls = model.NewLatencyState(in, alloc)
-	case opt.CohortBatch:
-		oracle.ls = model.NewBatchCohortLatencyState(in, alloc)
-	default:
-		oracle.ls = model.NewCohortLatencyState(in, alloc)
-	}
-	// Skip items nobody requests: their gain is identically zero, so
-	// they can never be committed — no need to seed or re-scan them.
-	requested := make([]bool, in.K())
-	for _, items := range in.Wl.Requests {
-		for _, k := range items {
-			requested[k] = true
-		}
-	}
-	cands := make([]placement.Candidate, 0, in.N()*in.K())
-	for i := 0; i < in.N(); i++ {
-		for k := 0; k < in.K(); k++ {
-			if !requested[k] {
-				continue
-			}
-			cands = append(cands, placement.Candidate{Server: i, Item: k})
-		}
-	}
 	sc := scopeOf(opt)
+	eng := opt.Placement.Resolve()
+	if sc != nil {
+		eng.Obs = sc
+	}
+	d := model.NewDelivery(in.N(), in.K())
 	sc.Begin("solve", "phase2", nil)
-	var pres placement.Result
-	if opt.NaiveGreedy {
-		pres = placement.GreedyOpt(cands, oracle, placement.Options{Obs: sc})
-	} else {
-		popt := resolvePlacementOptions(opt.Placement)
-		if sc != nil {
-			popt.Obs = sc
-		}
-		if opt.CohortBatch && !opt.NaiveLatency {
-			// The batch oracle's cohorts are partitioned by item, so a
-			// Commit can only move gains of its own item: per-item
-			// staleness epochs skip provably identical refreshes.
-			popt.ItemLocalGains = true
-		}
-		pres = placement.LazyGreedyOpt(cands, oracle, popt)
-	}
+	pres := placement.Deliver(placement.DeliverySpec{
+		In: in, Alloc: alloc, Delivery: d,
+		NaiveLatency: opt.NaiveLatency, NaiveGreedy: opt.NaiveGreedy,
+		Engine: eng,
+	})
 	sc.End("solve", "phase2")
-	return oracle.d, pres
-}
-
-// deliveryOracle adapts the incremental latency state and the delivery
-// profile to the placement engine.
-type deliveryOracle struct {
-	in *model.Instance
-	ls model.DeliveryOracle
-	d  *model.Delivery
-}
-
-func (o *deliveryOracle) Gain(c placement.Candidate) float64 {
-	return float64(o.ls.GainOf(c.Server, c.Item))
-}
-
-func (o *deliveryOracle) Cost(c placement.Candidate) float64 {
-	return float64(o.in.Wl.Items[c.Item].Size)
-}
-
-func (o *deliveryOracle) Feasible(c placement.Candidate) bool {
-	if o.d.Placed(c.Server, c.Item) {
-		return false
-	}
-	size := o.in.Wl.Items[c.Item].Size
-	return o.d.Used(c.Server)+size <= o.in.Wl.Capacity[c.Server]
-}
-
-func (o *deliveryOracle) Commit(c placement.Candidate) float64 {
-	o.d.Place(c.Server, c.Item, o.in.Wl.Items[c.Item].Size)
-	return float64(o.ls.Commit(c.Server, c.Item))
+	return d, pres
 }

@@ -6,41 +6,6 @@ import (
 	"idde/internal/game"
 )
 
-// TestResolveGameOptionsDefaultsZeroValue: an unset zero-value
-// game.Options must be replaced by the engine defaults.
-func TestResolveGameOptionsDefaultsZeroValue(t *testing.T) {
-	got := resolveGameOptions(game.Options{})
-	if got != game.DefaultOptions() {
-		t.Fatalf("zero-value options resolved to %+v, want DefaultOptions %+v",
-			got, game.DefaultOptions())
-	}
-}
-
-// TestResolveGameOptionsPreservesExplicitZero is the regression test for
-// the silent-replacement bug: an intentionally all-zero configuration
-// (sequential winner-takes-all, Epsilon 0, no caps) built with
-// game.NewOptions must pass through verbatim instead of being swapped
-// for the defaults.
-func TestResolveGameOptionsPreservesExplicitZero(t *testing.T) {
-	explicit := game.NewOptions(game.Options{})
-	got := resolveGameOptions(explicit)
-	if got != explicit {
-		t.Fatalf("explicit all-zero options were replaced: got %+v", got)
-	}
-	if got.PerPlayerCap != 0 || got.Epsilon != 0 || got.Parallel {
-		t.Fatalf("explicit zero configuration mutated: %+v", got)
-	}
-}
-
-// TestResolveGameOptionsPassesThroughNonZero: any configured options
-// survive untouched.
-func TestResolveGameOptionsPassesThroughNonZero(t *testing.T) {
-	o := game.Options{Policy: game.RoundRobin, Epsilon: 1e-6, MaxUpdates: 5}
-	if got := resolveGameOptions(o); got != o {
-		t.Fatalf("configured options mutated: got %+v want %+v", got, o)
-	}
-}
-
 // TestSolveHonorsExplicitZeroGameOptions runs Solve end to end with an
 // explicit all-zero game configuration and checks the configuration
 // actually took effect: with no PerPlayerCap, no player can be frozen.

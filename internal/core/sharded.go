@@ -23,7 +23,6 @@ func solveSharded(in *model.Instance, opt Options) *Result {
 		NaiveGreedy:       opt.NaiveGreedy,
 		NaiveInterference: opt.NaiveInterference,
 		NaiveLatency:      opt.NaiveLatency,
-		CohortBatch:       opt.CohortBatch,
 		NoSweepSkip:       opt.NoSweepSkip,
 		Obs:               sc,
 	}

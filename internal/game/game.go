@@ -175,6 +175,21 @@ func DefaultOptions() Options {
 	return Options{Policy: WinnerTakesAll, Epsilon: 1e-12, PerPlayerCap: 16, Parallel: true, Set: true}
 }
 
+// Resolve replaces an unset zero-value Options with DefaultOptions.
+// Explicitly configured options — even all-zero ones, which carry Set —
+// pass through verbatim. A telemetry scope is not configuration: it is
+// stripped before the zero-value comparison and re-attached, so
+// Options{Obs: sc} still resolves to the defaults.
+func (o Options) Resolve() Options {
+	sc := o.Obs
+	o.Obs = nil
+	if o == (Options{}) {
+		o = DefaultOptions()
+	}
+	o.Obs = sc
+	return o
+}
+
 // Stats reports how the dynamics ran.
 type Stats struct {
 	// Rounds counts full best-response scans.

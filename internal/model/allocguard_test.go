@@ -11,7 +11,7 @@ import (
 // Steady-state zero-allocation guards for the Phase 1 and Phase 2 hot
 // paths: Ledger benefit, rate and SINR evaluation with warm aggregate
 // rows, Ledger.Move maintaining them, the sparse GainRow reads, and
-// DeliveryOracle.GainOf for both cohort oracles.
+// the cohort oracle's GainOf.
 // The race detector instruments allocations, so the file is excluded
 // from -race runs; the plain tier-1 `go test ./...` always runs it, and
 // so does CI's zero-alloc step.
@@ -141,26 +141,21 @@ func TestCohortGainOfSteadyStateZeroAllocs(t *testing.T) {
 	l, alloc, _, _ := guardFixture(t)
 	in := l.in
 	s := rng.New(23)
-	for _, build := range []func() DeliveryOracle{
-		func() DeliveryOracle { return NewCohortLatencyState(in, alloc) },
-		func() DeliveryOracle { return NewBatchCohortLatencyState(in, alloc) },
-	} {
-		ls := build()
-		// Commit a couple of replicas so the batch oracle's deferred
-		// collapses are in play, then measure the evaluation loop.
-		ls.Commit(s.IntN(in.N()), s.IntN(in.K()))
-		ls.Commit(s.IntN(in.N()), s.IntN(in.K()))
-		var gi int
-		is := make([]int, 64)
-		ks := make([]int, 64)
-		for x := range is {
-			is[x], ks[x] = s.IntN(in.N()), s.IntN(in.K())
-		}
-		if avg := testing.AllocsPerRun(200, func() {
-			_ = ls.GainOf(is[gi], ks[gi])
-			gi = (gi + 1) % len(is)
-		}); avg != 0 {
-			t.Fatalf("%T.GainOf allocates %.2f allocs/op in steady state, want 0", ls, avg)
-		}
+	ls := NewCohortLatencyState(in, alloc, nil)
+	// Commit a couple of replicas so deferred folds are in play, then
+	// measure the evaluation loop.
+	ls.Commit(s.IntN(in.N()), s.IntN(in.K()))
+	ls.Commit(s.IntN(in.N()), s.IntN(in.K()))
+	var gi int
+	is := make([]int, 64)
+	ks := make([]int, 64)
+	for x := range is {
+		is[x], ks[x] = s.IntN(in.N()), s.IntN(in.K())
+	}
+	if avg := testing.AllocsPerRun(200, func() {
+		_ = ls.GainOf(is[gi], ks[gi])
+		gi = (gi + 1) % len(is)
+	}); avg != 0 {
+		t.Fatalf("CohortLatencyState.GainOf allocates %.2f allocs/op in steady state, want 0", avg)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"idde/internal/rng"
+	"idde/internal/units"
 )
 
 // relClose compares two latency sums up to summation-order rounding.
@@ -25,7 +26,7 @@ func TestCohortMatchesNaiveOracle(t *testing.T) {
 		in := genInstance(t, 12, 90, 4, seed)
 		s := rng.New(seed * 101)
 		alloc := randomValidAllocation(in, s)
-		co := NewCohortLatencyState(in, alloc)
+		co := NewCohortLatencyState(in, alloc, nil)
 		ref := NewLatencyState(in, alloc)
 
 		if co.Requests() != ref.Requests() {
@@ -68,7 +69,7 @@ func TestCohortMatchesNaiveOracle(t *testing.T) {
 // all-cloud latency.
 func TestCohortUnallocatedUsersOnly(t *testing.T) {
 	in := genInstance(t, 8, 40, 3, 9)
-	co := NewCohortLatencyState(in, NewAllocation(in.M()))
+	co := NewCohortLatencyState(in, NewAllocation(in.M()), nil)
 	var cloud float64
 	for _, items := range in.Wl.Requests {
 		for _, k := range items {
@@ -103,7 +104,7 @@ func TestCohortTinyInstanceExact(t *testing.T) {
 		{Server: 1, Channel: 0},
 		{Server: 1, Channel: 1},
 	}
-	co := NewCohortLatencyState(in, alloc)
+	co := NewCohortLatencyState(in, alloc, nil)
 	ref := NewLatencyState(in, alloc)
 	for i := 0; i < in.N(); i++ {
 		for k := 0; k < in.K(); k++ {
@@ -125,30 +126,69 @@ func TestCohortTinyInstanceExact(t *testing.T) {
 	}
 }
 
-// TestCohortSuffixCollapsePreservesSortedness drives one cohort through
-// a descending-threshold commit ladder and checks the multiset invariant
-// directly: vals stay ascending and prefix sums stay consistent.
-func TestCohortSuffixCollapsePreservesSortedness(t *testing.T) {
-	in := genInstance(t, 10, 80, 3, 21)
-	s := rng.New(33)
-	co := NewCohortLatencyState(in, randomValidAllocation(in, s))
-	for step := 0; step < 20; step++ {
-		co.Commit(s.IntN(in.N()), s.IntN(in.K()))
-	}
-	for k := range co.cohorts {
-		for ci := range co.cohorts[k] {
-			c := &co.cohorts[k][ci]
-			if len(c.pre) != len(c.vals)+1 || c.pre[0] != 0 {
-				t.Fatalf("item %d cohort %d: malformed prefix sums", k, ci)
+// FuzzCohortMatchesLatencyState drives the cohort oracle and the
+// per-request LatencyState reference through the same history and
+// requires bitwise agreement (math.Float64bits) on every GainOf probe,
+// every realized Commit gain and every Total. The fuzzed seed picks the
+// instance size, a partial allocation and a pre-placed profile of up to
+// `placed` replicas, which the cohort constructor replays (the reference
+// replays it by hand in the same ascending order); ops is a sequence of
+// (op, server, item) triples, a Commit when op%4 == 0, else a probe.
+func FuzzCohortMatchesLatencyState(f *testing.F) {
+	f.Add(uint64(1), uint8(0), []byte{1, 0, 0, 0, 0, 0, 2, 1, 1})
+	f.Add(uint64(2022), uint8(12), []byte{0, 3, 1, 5, 3, 1, 0, 7, 2, 4, 7, 2, 9, 0, 0})
+	f.Add(uint64(7331), uint8(200), []byte{4, 9, 3, 8, 1, 2, 0, 2, 2, 1, 2, 2})
+	f.Fuzz(func(t *testing.T, seed uint64, placed uint8, ops []byte) {
+		if len(ops) > 3*64 {
+			ops = ops[:3*64]
+		}
+		s := rng.New(seed)
+		in := genInstance(t, 3+s.IntN(8), 10+s.IntN(60), 1+s.IntN(5), seed)
+		n, k := in.N(), in.K()
+		alloc := randomValidAllocation(in, s.Split("alloc"))
+		d := NewDelivery(n, k)
+		for x := 0; x < int(placed)%(n*k+1); x++ {
+			if i, kk := s.IntN(n), s.IntN(k); !d.Placed(i, kk) {
+				d.Place(i, kk, in.Wl.Items[kk].Size)
 			}
-			for x := range c.vals {
-				if x > 0 && c.vals[x] < c.vals[x-1] {
-					t.Fatalf("item %d cohort %d: vals not sorted at %d", k, ci, x)
-				}
-				if c.pre[x+1] != c.pre[x]+c.vals[x] {
-					t.Fatalf("item %d cohort %d: prefix sum drift at %d", k, ci, x)
+		}
+		co := NewCohortLatencyState(in, alloc, d)
+		ref := NewLatencyState(in, alloc)
+		for i := 0; i < n; i++ {
+			for kk := 0; kk < k; kk++ {
+				if d.Placed(i, kk) {
+					ref.Commit(i, kk)
 				}
 			}
 		}
-	}
+		same := func(a, b units.Seconds) bool {
+			return math.Float64bits(float64(a)) == math.Float64bits(float64(b))
+		}
+		if co.Requests() != ref.Requests() || !same(co.Total(), ref.Total()) {
+			t.Fatalf("after replaying %d replicas: requests %d/%d, total %v vs %v",
+				d.Count(), co.Requests(), ref.Requests(), co.Total(), ref.Total())
+		}
+		for ; len(ops) >= 3; ops = ops[3:] {
+			i, kk := int(ops[1])%n, int(ops[2])%k
+			if ops[0]%4 != 0 {
+				if gc, gr := co.GainOf(i, kk), ref.GainOf(i, kk); !same(gc, gr) {
+					t.Fatalf("GainOf(%d,%d): cohort %v, reference %v", i, kk, gc, gr)
+				}
+				continue
+			}
+			if gc, gr := co.Commit(i, kk), ref.Commit(i, kk); !same(gc, gr) {
+				t.Fatalf("Commit(%d,%d): cohort gain %v, reference %v", i, kk, gc, gr)
+			}
+			if !same(co.Total(), ref.Total()) {
+				t.Fatalf("after Commit(%d,%d): total %v vs %v", i, kk, co.Total(), ref.Total())
+			}
+		}
+		for i := 0; i < n; i++ {
+			for kk := 0; kk < k; kk++ {
+				if gc, gr := co.GainOf(i, kk), ref.GainOf(i, kk); !same(gc, gr) {
+					t.Fatalf("final sweep GainOf(%d,%d): cohort %v, reference %v", i, kk, gc, gr)
+				}
+			}
+		}
+	})
 }

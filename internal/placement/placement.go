@@ -7,6 +7,8 @@
 //
 // The oracle abstraction decouples the greedy from the IDDE latency
 // model, so the CDP baseline and the core algorithm share one engine.
+// Deliver (deliver.go) binds the engine to the model's latency oracles:
+// it is the one Phase 2 driver of the global and the sharded solver.
 package placement
 
 import (
@@ -56,7 +58,7 @@ const DefaultParallelThreshold = 512
 
 // Options tunes the greedy engines. The zero value is the historical
 // behaviour (sequential seeding); embedders replace an unset zero value
-// with DefaultOptions (see Set).
+// with DefaultOptions (see Resolve).
 type Options struct {
 	// Parallel enables the concurrent LazyGreedy seed scan. The initial
 	// gains are evaluated against the empty delivery profile, so they
@@ -70,14 +72,14 @@ type Options struct {
 	// parallel scan kicks in; 0 means DefaultParallelThreshold.
 	ParallelThreshold int
 	// ItemLocalGains declares that a Commit only changes the gains of
-	// candidates sharing its Item — true for the IDDE delivery oracles,
-	// whose cohorts are partitioned by item (feasibility may still
-	// change across items; it is re-checked at every pop). LazyGreedy
-	// then tracks staleness per item instead of globally, skipping
-	// refresh evaluations whose result is provably the cached ratio.
-	// The pop — and therefore commit — sequence is bit-identical; only
-	// Result.Evaluations drops (the same argument as the game engine's
-	// dirty-set scheduler).
+	// candidates sharing its Item — true for both IDDE delivery oracles,
+	// whose state is partitioned by item, so Deliver always sets it
+	// (feasibility may still change across items; it is re-checked at
+	// every pop). LazyGreedy then tracks staleness per item instead of
+	// globally, skipping refresh evaluations whose result is provably
+	// the cached ratio. The pop — and therefore commit — sequence is
+	// bit-identical; only Result.Evaluations drops (the same argument as
+	// the game engine's dirty-set scheduler).
 	ItemLocalGains bool
 	// MaxCommits caps the number of committed decisions (0 =
 	// unlimited). The greedy stops as soon as the cap is reached; the
@@ -108,6 +110,19 @@ func NewOptions(o Options) Options {
 // DefaultOptions returns the configuration used by IDDE-G's Phase 2.
 func DefaultOptions() Options {
 	return Options{Parallel: true, Set: true}
+}
+
+// Resolve replaces an unset zero-value Options with DefaultOptions,
+// under the same rules as game.Options.Resolve: Set shields an
+// explicitly all-zero configuration, and Obs is not configuration.
+func (o Options) Resolve() Options {
+	sc := o.Obs
+	o.Obs = nil
+	if o == (Options{}) {
+		o = DefaultOptions()
+	}
+	o.Obs = sc
+	return o
 }
 
 // Greedy runs the literal Algorithm 1 Phase 2 loop: every round,

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"idde/internal/obs"
 	"idde/internal/rng"
 )
 
@@ -299,6 +300,56 @@ func TestParallelSeedScanBitIdentical(t *testing.T) {
 		}
 		if seq.Evaluations != par.Evaluations {
 			t.Fatalf("seed %d: evaluation counts diverge: %d vs %d", seed, seq.Evaluations, par.Evaluations)
+		}
+	}
+}
+
+// TestItemLocalGainsSkipsOnlyUnchangedRefreshes pins the per-item
+// staleness epochs on an item-partitioned oracle (coverOracle's gain for
+// item k reads only item k's requests and replicas): LazyGreedyOpt with
+// ItemLocalGains must commit the same sequence with the bit-identical
+// total gain as the global epoch, and strictly fewer evaluations.
+func TestItemLocalGainsSkipsOnlyUnchangedRefreshes(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		oa, cands := randomOracle(seed*29, 6, 6, 150)
+		ob := clone(oa)
+		global := LazyGreedyOpt(cands, oa, Options{})
+		local := LazyGreedyOpt(cands, ob, Options{ItemLocalGains: true})
+		if !reflect.DeepEqual(global.Chosen, local.Chosen) {
+			t.Fatalf("seed %d: per-item epochs changed the sequence:\nglobal %v\nlocal  %v",
+				seed, global.Chosen, local.Chosen)
+		}
+		if global.TotalGain != local.TotalGain {
+			t.Fatalf("seed %d: gains diverge: %v vs %v", seed, global.TotalGain, local.TotalGain)
+		}
+		if local.Evaluations >= global.Evaluations {
+			t.Fatalf("seed %d: per-item epochs saved no evaluations: %d vs %d",
+				seed, local.Evaluations, global.Evaluations)
+		}
+	}
+}
+
+// TestOptionsResolve pins the embedders' resolution rules: an unset zero
+// value becomes DefaultOptions, a telemetry scope alone does not count
+// as configuration, and explicitly configured options — all-zero ones
+// carrying Set included — pass through verbatim.
+func TestOptionsResolve(t *testing.T) {
+	if got := (Options{}).Resolve(); got != DefaultOptions() {
+		t.Fatalf("zero value resolved to %+v, want DefaultOptions", got)
+	}
+	sc := obs.New()
+	want := DefaultOptions()
+	want.Obs = sc
+	if got := (Options{Obs: sc}).Resolve(); got != want {
+		t.Fatalf("scope-only options resolved to %+v, want defaults carrying the scope", got)
+	}
+	for _, o := range []Options{
+		NewOptions(Options{}),
+		{MaxCommits: 3},
+		{Parallel: true, ParallelThreshold: 7},
+	} {
+		if got := o.Resolve(); got != o {
+			t.Fatalf("configured options %+v resolved to %+v", o, got)
 		}
 	}
 }

@@ -61,7 +61,12 @@ type Config struct {
 	NaiveGreedy       bool
 	NaiveInterference bool
 	NaiveLatency      bool
-	CohortBatch       bool
+	// CohortBatch is ignored: Phase 2 always runs the one cohort
+	// oracle (model.CohortLatencyState) unless NaiveLatency is set.
+	//
+	// Deprecated: has no effect. It stays declared because the idbench
+	// benchmark module sets it.
+	CohortBatch bool
 	// AggRowBudget is ignored: aggregate rows are built once and kept.
 	//
 	// Deprecated: has no effect. It stays declared because the idbench
@@ -143,28 +148,6 @@ type Result struct {
 // the config's seed — the substrate for stochastic per-tile policies.
 func (c Config) TileStream(t int) *rng.Stream {
 	return rng.New(c.Seed).SplitN("tile", t)
-}
-
-// resolveGame mirrors core's resolution: zero value → engine defaults,
-// Obs stripped from the comparison.
-func resolveGame(o game.Options) game.Options {
-	sc := o.Obs
-	o.Obs = nil
-	if o == (game.Options{}) {
-		o = game.DefaultOptions()
-	}
-	o.Obs = sc
-	return o
-}
-
-func resolvePlacement(o placement.Options) placement.Options {
-	sc := o.Obs
-	o.Obs = nil
-	if o == (placement.Options{}) {
-		o = placement.DefaultOptions()
-	}
-	o.Obs = sc
-	return o
 }
 
 // tileGame adapts one tile's slice of the IDDE-U game to the generic
@@ -315,8 +298,8 @@ func Views(in *model.Instance, tiles int) []*model.Instance {
 
 // Solve runs the sharded two-phase solver.
 func Solve(in *model.Instance, cfg Config) *Result {
-	cfg.Game = resolveGame(cfg.Game)
-	cfg.Placement = resolvePlacement(cfg.Placement)
+	cfg.Game = cfg.Game.Resolve()
+	cfg.Placement = cfg.Placement.Resolve()
 	sc := cfg.Obs
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -631,45 +614,20 @@ func runExchange(in *model.Instance, p *Partition, l *model.Ledger, restricted [
 	return false
 }
 
-// solveTileDelivery runs Phase 2 for one tile: the same oracle and
-// engine selection as the global solver, but over a shallow instance
-// whose requests are filtered to the tile's users, with candidates
-// restricted to the tile's servers. Tiles partition the servers, so
-// capacity conflicts across tiles are impossible by construction.
+// solveTileDelivery runs Phase 2 for one tile through the shared
+// placement.Deliver driver, over a shallow instance whose requests are
+// filtered to the tile's users, with candidates restricted to the
+// tile's servers. Tiles partition the servers, so capacity conflicts
+// across tiles are impossible by construction.
 func solveTileDelivery(in *model.Instance, tile Tile, alloc model.Allocation, cfg Config, sc *obs.Scope) (*model.Delivery, placement.Result) {
-	in2 := tileInstance(in, tile)
-	oracle := &deliveryOracle{in: in2, d: model.NewDelivery(in.N(), in.K())}
-	switch {
-	case cfg.NaiveLatency:
-		oracle.ls = model.NewLatencyState(in2, alloc)
-	case cfg.CohortBatch:
-		oracle.ls = model.NewBatchCohortLatencyState(in2, alloc)
-	default:
-		oracle.ls = model.NewCohortLatencyState(in2, alloc)
-	}
-	requested := make([]bool, in.K())
-	for _, j := range tile.Users {
-		for _, k := range in.Wl.Requests[j] {
-			requested[k] = true
-		}
-	}
-	cands := make([]placement.Candidate, 0, len(tile.Servers)*in.K())
-	for _, i := range tile.Servers {
-		for k := 0; k < in.K(); k++ {
-			if requested[k] {
-				cands = append(cands, placement.Candidate{Server: i, Item: k})
-			}
-		}
-	}
-	if cfg.NaiveGreedy {
-		return oracle.d, placement.GreedyOpt(cands, oracle, placement.Options{Obs: sc})
-	}
-	popt := cfg.Placement
-	popt.Obs = sc
-	if cfg.CohortBatch && !cfg.NaiveLatency {
-		popt.ItemLocalGains = true
-	}
-	return oracle.d, placement.LazyGreedyOpt(cands, oracle, popt)
+	d := model.NewDelivery(in.N(), in.K())
+	eng := cfg.Placement
+	eng.Obs = sc
+	return d, placement.Deliver(placement.DeliverySpec{
+		In: tileInstance(in, tile), Alloc: alloc, Delivery: d, Servers: tile.Servers,
+		NaiveLatency: cfg.NaiveLatency, NaiveGreedy: cfg.NaiveGreedy,
+		Engine: eng,
+	})
 }
 
 // tileInstance is a shallow view of the instance with the request lists
@@ -688,86 +646,21 @@ func tileInstance(in *model.Instance, tile Tile) *model.Instance {
 	return &in2
 }
 
-// reconcile rebuilds a global oracle over the merged delivery — the
-// replicas replay in ascending (server, item) order, a canonical order
-// independent of which tile placed them — and runs one bounded CELF
-// pass over all remaining candidates. For a single tile the replayed
-// profile is exactly the tile greedy's output, so no remaining
-// candidate has positive gain and the pass commits nothing.
+// reconcile runs one bounded global Phase 2 pass over the merged
+// delivery d: the driver replays the merged replicas in ascending
+// (server, item) order, a canonical order independent of which tile
+// placed them, then proposes every remaining candidate. For a single
+// tile the replayed profile is exactly the tile greedy's output, so no
+// remaining candidate has positive gain and the pass commits nothing.
 func reconcile(in *model.Instance, alloc model.Allocation, d *model.Delivery, cfg Config, sc *obs.Scope) placement.Result {
-	oracle := &deliveryOracle{in: in, d: d}
-	switch {
-	case cfg.NaiveLatency:
-		oracle.ls = model.NewLatencyState(in, alloc)
-	case cfg.CohortBatch:
-		oracle.ls = model.NewBatchCohortLatencyState(in, alloc)
-	default:
-		oracle.ls = model.NewCohortLatencyState(in, alloc)
-	}
-	for i := 0; i < in.N(); i++ {
-		for k := 0; k < in.K(); k++ {
-			if d.Placed(i, k) {
-				oracle.ls.Commit(i, k)
-			}
-		}
-	}
-	requested := make([]bool, in.K())
-	for _, items := range in.Wl.Requests {
-		for _, k := range items {
-			requested[k] = true
-		}
-	}
-	cands := make([]placement.Candidate, 0, in.N()*in.K())
-	for i := 0; i < in.N(); i++ {
-		for k := 0; k < in.K(); k++ {
-			if requested[k] && !d.Placed(i, k) {
-				cands = append(cands, placement.Candidate{Server: i, Item: k})
-			}
-		}
-	}
-	if sc.Tracing() {
-		sc.Instant("shard", "reconcile", map[string]any{"candidates": len(cands)})
-	}
-	if cfg.NaiveGreedy {
-		popt := placement.Options{Obs: sc, MaxCommits: cfg.ReconcileCommits}
-		return placement.GreedyOpt(cands, oracle, popt)
-	}
-	popt := cfg.Placement
-	popt.Obs = sc
-	popt.MaxCommits = cfg.ReconcileCommits
-	if cfg.CohortBatch && !cfg.NaiveLatency {
-		popt.ItemLocalGains = true
-	}
-	return placement.LazyGreedyOpt(cands, oracle, popt)
-}
-
-// deliveryOracle mirrors core's Phase 2 oracle: incremental latency
-// state plus the delivery profile under construction.
-type deliveryOracle struct {
-	in *model.Instance
-	ls model.DeliveryOracle
-	d  *model.Delivery
-}
-
-func (o *deliveryOracle) Gain(c placement.Candidate) float64 {
-	return float64(o.ls.GainOf(c.Server, c.Item))
-}
-
-func (o *deliveryOracle) Cost(c placement.Candidate) float64 {
-	return float64(o.in.Wl.Items[c.Item].Size)
-}
-
-func (o *deliveryOracle) Feasible(c placement.Candidate) bool {
-	if o.d.Placed(c.Server, c.Item) {
-		return false
-	}
-	size := o.in.Wl.Items[c.Item].Size
-	return o.d.Used(c.Server)+size <= o.in.Wl.Capacity[c.Server]
-}
-
-func (o *deliveryOracle) Commit(c placement.Candidate) float64 {
-	o.d.Place(c.Server, c.Item, o.in.Wl.Items[c.Item].Size)
-	return float64(o.ls.Commit(c.Server, c.Item))
+	eng := cfg.Placement
+	eng.Obs = sc
+	eng.MaxCommits = cfg.ReconcileCommits
+	return placement.Deliver(placement.DeliverySpec{
+		In: in, Alloc: alloc, Delivery: d,
+		NaiveLatency: cfg.NaiveLatency, NaiveGreedy: cfg.NaiveGreedy,
+		Engine: eng,
+	})
 }
 
 // statsOf summarizes a partition into the Stats shell.

@@ -13,16 +13,16 @@ import (
 )
 
 // The end-to-end differential suite for the large-N memory work: the
-// Commit-batching Phase 2 oracle and the worker-pool scans must both
+// cohort Phase 2 oracle's deferred folds and the worker-pool scans must
 // reproduce the default single-core results exactly — not
 // approximately — across allocation, replica sequence and every
 // reported stat.
 
 // deepenBudgets raises every server's storage capacity to at least
 // eight mean item sizes, the regime where the greedy loop commits many
-// replicas per item and the Commit batcher's deferred suffix-collapses
-// actually batch (shallow budgets commit an item at most once or twice
-// per server, hiding collapse bugs).
+// replicas per item and the cohort oracle's deferred folds actually
+// batch (shallow budgets commit an item at most once or twice per
+// server, hiding collapse bugs).
 func deepenBudgets(in *model.Instance) {
 	var total units.MegaBytes
 	for _, it := range in.Wl.Items {
@@ -36,11 +36,12 @@ func deepenBudgets(in *model.Instance) {
 	}
 }
 
-// TestDeliveryBatchOracleOnDeepBudgets pins the Commit-batching oracle
-// on deep-budget instances (storage ≥ 8× mean item size): all six
-// oracle×engine combinations — including batch with and without the
-// parallel seed scan — must commit the identical replica sequence,
-// delivery profile and bit-identical total gain.
+// TestDeliveryBatchOracleOnDeepBudgets pins the cohort oracle's
+// Commit batching on deep-budget instances (storage ≥ 8× mean item
+// size): all five oracle×engine combinations — including the cohort
+// oracle with and without the parallel seed scan — must commit the
+// identical replica sequence, delivery profile and bit-identical total
+// gain.
 func TestDeliveryBatchOracleOnDeepBudgets(t *testing.T) {
 	for _, seed := range []uint64{5, 21, 2022} {
 		in, err := experiment.BuildInstance(experiment.Params{N: 15, M: 200, K: 6, Density: 1.0}, seed)
@@ -109,31 +110,5 @@ func TestSolveGomaxprocsInvariance(t *testing.T) {
 		if !reflect.DeepEqual(fp, base) {
 			t.Fatalf("GOMAXPROCS=%d solve diverges from GOMAXPROCS=1:\n%+v\nvs\n%+v", g, fp, base)
 		}
-	}
-}
-
-// TestSolveCohortBatchEndToEnd runs the full two-phase solve with the
-// Commit-batching oracle and checks the complete result fingerprint
-// against the default solve: everything observable must match exactly,
-// and the per-item staleness epochs must save oracle calls.
-func TestSolveCohortBatchEndToEnd(t *testing.T) {
-	in, err := experiment.BuildInstance(experiment.Params{N: 20, M: 200, K: 6, Density: 1.0}, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := fingerprint(core.Solve(in, core.DefaultOptions()))
-	opt := core.DefaultOptions()
-	opt.CohortBatch = true
-	got := fingerprint(core.Solve(in, opt))
-	if got.Evaluations >= base.Evaluations {
-		t.Fatalf("per-item staleness epochs saved no evaluations: %d vs %d",
-			got.Evaluations, base.Evaluations)
-	}
-	// The oracle-call count legitimately drops under ItemLocalGains (the
-	// skipped refreshes are provably identical); everything observable —
-	// allocation, profile, stats, objectives — must match exactly.
-	got.Evaluations = base.Evaluations
-	if !reflect.DeepEqual(got, base) {
-		t.Fatalf("batch solve diverges from default:\n%+v\nvs\n%+v", got, base)
 	}
 }

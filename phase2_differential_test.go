@@ -23,11 +23,10 @@ import (
 // per-request reference commits, so every figure CSV is unchanged by
 // the optimization.
 
-// deliveryCombos runs Phase 2 on the six oracle×engine combinations:
-// optimized (cohort + parallel-seeded CELF), cohort + literal re-scan,
-// the Commit-batching oracle with per-item staleness epochs (alone and
-// with the parallel seed scan), naive oracle + sequential CELF, and the
-// full reference (naive oracle + literal re-scan).
+// deliveryCombos runs Phase 2 on five oracle×engine combinations:
+// optimized (cohort + parallel-seeded CELF), cohort + sequentially
+// seeded CELF, cohort + literal re-scan, naive oracle + sequential CELF,
+// and the full reference (naive oracle + literal re-scan).
 func deliveryCombos(in *model.Instance, alloc model.Allocation) []struct {
 	name string
 	d    *model.Delivery
@@ -40,9 +39,8 @@ func deliveryCombos(in *model.Instance, alloc model.Allocation) []struct {
 		opt  core.Options
 	}{
 		{"cohort+lazy-parallel", core.Options{Placement: par}},
+		{"cohort+lazy", core.Options{Placement: seq}},
 		{"cohort+naive-greedy", core.Options{NaiveGreedy: true}},
-		{"batch+lazy", core.Options{CohortBatch: true, Placement: seq}},
-		{"batch+lazy-parallel", core.Options{CohortBatch: true, Placement: par}},
 		{"naive-oracle+lazy", core.Options{NaiveLatency: true, Placement: seq}},
 		{"reference", core.Options{NaiveLatency: true, NaiveGreedy: true}},
 	}
@@ -89,7 +87,7 @@ func checkCombosAgree(t *testing.T, label string, in *model.Instance, alloc mode
 
 // TestDeliveryCohortMatchesReferenceOnGrid sweeps the sampled Table 2
 // grid with equilibrium allocations from Phase 1 — the production
-// pipeline — and pins all four oracle×engine combinations to one
+// pipeline — and pins all five oracle×engine combinations to one
 // committed sequence.
 func TestDeliveryCohortMatchesReferenceOnGrid(t *testing.T) {
 	if testing.Short() {
