@@ -186,7 +186,11 @@ func runPhase1(in *model.Instance, opt Options) (*model.Ledger, game.Stats) {
 	if opt.NaiveInterference {
 		ledger.SetNaiveInterference(true)
 	}
-	adapter := &allocGame{in: in, l: ledger, tracePotential: opt.TracePotential}
+	g := shard.NewGlobalGame(in, ledger)
+	var adapter game.Adapter[model.Alloc] = g
+	if opt.TracePotential {
+		adapter = &potentialGame{Game: g, in: in, l: ledger}
+	}
 	sc.Begin("solve", "phase1", nil)
 	st := game.Run[model.Alloc](adapter, opt.Game)
 	sc.End("solve", "phase1")
@@ -254,18 +258,24 @@ func Solve(in *model.Instance, opt Options) *Result {
 	res.LatencyReduction = units.Seconds(pres.TotalGain)
 	res.AvgRate = ledger.AvgRate()
 	res.AvgLatency = in.AvgLatency(alloc, delivery)
-	if sc.Enabled() {
-		// Cross-wire the Result instrumentation; wall-clock stays out
-		// of the trace (logical ticks only) but is fine in gauges.
-		sc.Count("solve_runs_total", 1)
-		sc.Count("solve_replicas_total", int64(res.Replicas))
-		sc.SetGauge("solve_last_avg_rate_mbps", float64(res.AvgRate))
-		sc.SetGauge("solve_last_avg_latency_ms", res.AvgLatency.Millis())
-		sc.SetGauge("solve_last_latency_reduction_s", float64(res.LatencyReduction))
-		sc.SetGauge("solve_last_phase1_ms", float64(res.Phase1Time.Milliseconds()))
-		sc.SetGauge("solve_last_phase2_ms", float64(res.Phase2Time.Milliseconds()))
-	}
+	publishSolve(sc, res)
 	return res
+}
+
+// publishSolve cross-wires the Result instrumentation into the scope's
+// registry; wall-clock stays out of the trace (logical ticks only) but
+// is fine in gauges.
+func publishSolve(sc *obs.Scope, res *Result) {
+	if !sc.Enabled() {
+		return
+	}
+	sc.Count("solve_runs_total", 1)
+	sc.Count("solve_replicas_total", int64(res.Replicas))
+	sc.SetGauge("solve_last_avg_rate_mbps", float64(res.AvgRate))
+	sc.SetGauge("solve_last_avg_latency_ms", res.AvgLatency.Millis())
+	sc.SetGauge("solve_last_latency_reduction_s", float64(res.LatencyReduction))
+	sc.SetGauge("solve_last_phase1_ms", float64(res.Phase1Time.Milliseconds()))
+	sc.SetGauge("solve_last_phase2_ms", float64(res.Phase2Time.Milliseconds()))
 }
 
 // SolveDelivery exposes Phase 2 alone for a caller-supplied allocation

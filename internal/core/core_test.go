@@ -8,6 +8,7 @@ import (
 	"idde/internal/model"
 	"idde/internal/radio"
 	"idde/internal/rng"
+	"idde/internal/shard"
 	"idde/internal/topology"
 	"idde/internal/workload"
 )
@@ -260,7 +261,7 @@ func TestMoverBenefitStrictlyImproves(t *testing.T) {
 		t.Fatal(err)
 	}
 	ledger := model.NewLedger(in, model.NewAllocation(in.M()))
-	adapter := &auditedAlloc{inner: &allocGame{in: in, l: ledger}, t: t}
+	adapter := &auditedAlloc{inner: shard.NewGlobalGame(in, ledger), l: ledger, t: t}
 	st := game.Run[model.Alloc](adapter, game.DefaultOptions())
 	if !st.Converged {
 		t.Fatal("game did not converge")
@@ -271,7 +272,8 @@ func TestMoverBenefitStrictlyImproves(t *testing.T) {
 }
 
 type auditedAlloc struct {
-	inner   *allocGame
+	inner   *shard.Game
+	l       *model.Ledger
 	t       *testing.T
 	commits int
 }
@@ -281,9 +283,9 @@ func (a *auditedAlloc) Best(j int) (model.Alloc, float64, float64) {
 	return a.inner.Best(j)
 }
 func (a *auditedAlloc) Apply(j int, d model.Alloc) {
-	before := a.inner.l.Benefit(j, a.inner.l.Current(j))
+	before := a.l.Benefit(j, a.l.Current(j))
 	a.inner.Apply(j, d)
-	after := a.inner.l.Benefit(j, a.inner.l.Current(j))
+	after := a.l.Benefit(j, a.l.Current(j))
 	if after <= before {
 		a.t.Fatalf("move for user %d did not improve benefit: %v -> %v", j, before, after)
 	}

@@ -2,79 +2,23 @@ package core
 
 import (
 	"idde/internal/model"
+	"idde/internal/shard"
 )
 
-// allocGame adapts the IDDE-U game to the generic engine: player j's
-// decision set δ_j is every channel of every covering server (Algorithm
-// 1 lines 7–12) plus the current decision, and the payoff is the
-// benefit function of Eq. (12). It also implements game.Localized, so
-// the engine's dirty-set scheduler re-evaluates only the players a
-// commit can actually perturb.
-type allocGame struct {
+// potentialGame is the global Phase 1 game with the Eq. 13 ordinal
+// potential added to every traced round (Options.TracePotential): its
+// monotone climb is Theorem 3's termination argument. RoundMetrics is
+// only invoked on traced runs, so the cost never reaches production
+// paths.
+type potentialGame struct {
+	*shard.Game
 	in *model.Instance
 	l  *model.Ledger
-	// aff is the reusable Affected buffer (Affected/Apply are
-	// serialized by the engine).
-	aff []int
-	// tracePotential adds the Eq. 13 potential to every traced round
-	// (see Options.TracePotential); RoundMetrics is only invoked on
-	// traced runs, so the cost never reaches production paths.
-	tracePotential bool
 }
 
-func (g *allocGame) NumPlayers() int { return g.in.M() }
-
-func (g *allocGame) Best(j int) (model.Alloc, float64, float64) {
-	cur := g.l.Current(j)
-	curB := g.l.Benefit(j, cur)
-	best, bestB := cur, curB
-	for _, i := range g.in.Top.Coverage[j] {
-		for x := 0; x < g.in.Top.Servers[i].Channels; x++ {
-			a := model.Alloc{Server: i, Channel: x}
-			if a == cur {
-				continue
-			}
-			if b := g.l.Benefit(j, a); b > bestB {
-				best, bestB = a, b
-			}
-		}
-	}
-	return best, bestB, curB
-}
-
-func (g *allocGame) Apply(j int, a model.Alloc) { g.l.Move(j, a) }
-
-// RoundMetrics implements game.RoundMetrics: every traced round records
-// the Eq. 5 average rate of the current profile (the convergence
-// quantity Figures 3–6 report) and, under Options.TracePotential, the
-// Eq. 13 ordinal potential whose monotone climb is Theorem 3's
-// termination argument.
-func (g *allocGame) RoundMetrics(put func(key string, v float64)) {
-	put("r_avg", float64(g.l.AvgRate()))
-	if g.tracePotential {
-		put("potential", Potential(g.in, g.l.Alloc()))
-	}
-}
-
-// Affected implements game.Localized. A commit by user j only mutates
-// the two (server, channel) cells it leaves and enters, and player q's
-// Eq. 12 benefit for any decision in δ_q reads exclusively channels of
-// q's own covering servers (both the intra-channel sum and the
-// inter-cell term of Eq. 2 range over V_q). So the players whose payoff
-// landscape can change are exactly those covered by the source or the
-// destination server — the inverted Coverage index U_i, precomputed as
-// Top.Covered.
-func (g *allocGame) Affected(j int, a model.Alloc) []int {
-	aff := g.aff[:0]
-	cur := g.l.Current(j)
-	if cur.Allocated() {
-		aff = append(aff, g.in.Top.Covered[cur.Server]...)
-	}
-	if a.Allocated() && (!cur.Allocated() || a.Server != cur.Server) {
-		aff = append(aff, g.in.Top.Covered[a.Server]...)
-	}
-	g.aff = aff
-	return aff
+func (g *potentialGame) RoundMetrics(put func(key string, v float64)) {
+	g.Game.RoundMetrics(put)
+	put("potential", Potential(g.in, g.l.Alloc()))
 }
 
 // Potential evaluates the IDDE-U potential function of Eq. (13) for an

@@ -39,14 +39,6 @@ func solveSharded(in *model.Instance, opt Options) *Result {
 		Phase1Time:       sres.Phase1Time + sres.SweepTime,
 		Phase2Time:       sres.Phase2Time + sres.ReconcileTime,
 	}
-	if sc.Enabled() {
-		sc.Count("solve_runs_total", 1)
-		sc.Count("solve_replicas_total", int64(res.Replicas))
-		sc.SetGauge("solve_last_avg_rate_mbps", float64(res.AvgRate))
-		sc.SetGauge("solve_last_avg_latency_ms", res.AvgLatency.Millis())
-		sc.SetGauge("solve_last_latency_reduction_s", float64(res.LatencyReduction))
-		sc.SetGauge("solve_last_phase1_ms", float64(res.Phase1Time.Milliseconds()))
-		sc.SetGauge("solve_last_phase2_ms", float64(res.Phase2Time.Milliseconds()))
-	}
+	publishSolve(sc, res)
 	return res
 }

@@ -10,8 +10,8 @@ import (
 
 // Steady-state zero-allocation guards for the Phase 1 and Phase 2 hot
 // paths: Ledger benefit, rate and SINR evaluation with warm aggregate
-// rows, Ledger.Move maintaining them, the sparse GainRow reads, and
-// the cohort oracle's GainOf.
+// rows, the Ledger.Best scan, Ledger.Move maintaining the rows, the
+// sparse GainRow reads, and the cohort oracle's GainOf.
 // The race detector instruments allocations, so the file is excluded
 // from -race runs; the plain tier-1 `go test ./...` always runs it, and
 // so does CI's zero-alloc step.
@@ -157,5 +157,22 @@ func TestCohortGainOfSteadyStateZeroAllocs(t *testing.T) {
 		gi = (gi + 1) % len(is)
 	}); avg != 0 {
 		t.Fatalf("CohortLatencyState.GainOf allocates %.2f allocs/op in steady state, want 0", avg)
+	}
+}
+
+// TestLedgerBestSteadyStateZeroAllocs pins the Eq. 12 best-response
+// scan over a user's full decision set, memo hits and misses alike.
+func TestLedgerBestSteadyStateZeroAllocs(t *testing.T) {
+	l, alloc, js, as := guardFixture(t)
+	var bi int
+	if avg := testing.AllocsPerRun(200, func() {
+		j := js[bi]
+		_, _, _ = l.Best(j, l.in.Top.Coverage[j])
+		l.Move(j, as[bi])
+		_, _, _ = l.Best(j, l.in.Top.Coverage[j])
+		l.Move(j, alloc[j])
+		bi = (bi + 1) % len(js)
+	}); avg != 0 {
+		t.Fatalf("Ledger.Best allocates %.2f allocs/op in steady state, want 0", avg)
 	}
 }

@@ -689,6 +689,31 @@ func (l *Ledger) Benefit(j int, a Alloc) float64 {
 	return l.benefit(j, a, g, l.interCellRow(j, a, l.aggRow(a.Server), g))
 }
 
+// Best is Algorithm 1's best response (lines 7–12): the Eq. 12 argmax
+// for user j over every channel of every listed server, plus j's
+// current decision. Candidates are scanned in list order, channels
+// ascending, and replace the incumbent only on a strictly greater
+// benefit, so a tie keeps the current decision, then the earliest
+// candidate. It returns the best decision, its benefit and the current
+// decision's benefit. Safe for concurrent callers between Moves.
+func (l *Ledger) Best(j int, servers []int) (best Alloc, bestB, curB float64) {
+	cur := l.alloc[j]
+	curB = l.Benefit(j, cur)
+	best, bestB = cur, curB
+	for _, i := range servers {
+		for x := 0; x < l.in.Top.Servers[i].Channels; x++ {
+			a := Alloc{Server: i, Channel: x}
+			if a == cur {
+				continue
+			}
+			if b := l.Benefit(j, a); b > bestB {
+				best, bestB = a, b
+			}
+		}
+	}
+	return best, bestB, curB
+}
+
 // benefit evaluates Eq. (12) from the link quantities of decision a.
 func (l *Ledger) benefit(j int, a Alloc, g float64, f units.Watts) float64 {
 	p := float64(l.in.Top.Users[j].Power)

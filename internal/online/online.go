@@ -148,21 +148,8 @@ func (s *System) Leave(j int) (int, error) {
 
 // bestRespond moves j to its best decision; reports whether it moved.
 func (s *System) bestRespond(j int) bool {
-	cur := s.ledger.Current(j)
-	curB := s.ledger.Benefit(j, cur)
-	best, bestB := cur, curB
-	for _, i := range s.in.Top.Coverage[j] {
-		for x := 0; x < s.in.Top.Servers[i].Channels; x++ {
-			a := model.Alloc{Server: i, Channel: x}
-			if a == cur {
-				continue
-			}
-			if b := s.ledger.Benefit(j, a); b > bestB {
-				best, bestB = a, b
-			}
-		}
-	}
-	if bestB-curB > s.opt.Epsilon && best != cur {
+	best, bestB, curB := s.ledger.Best(j, s.in.Top.Coverage[j])
+	if bestB-curB > s.opt.Epsilon && best != s.ledger.Current(j) {
 		s.ledger.Move(j, best)
 		return true
 	}

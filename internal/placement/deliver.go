@@ -13,8 +13,8 @@ type DeliverySpec struct {
 	// already placed are replayed into the oracle, in ascending (server,
 	// item) order, and are never proposed again.
 	Delivery *model.Delivery
-	// Servers lists the candidate servers in candidate order; nil means
-	// every server, ascending.
+	// Servers lists the candidate servers in candidate order. nil means
+	// every server, ascending; an empty non-nil list proposes nothing.
 	Servers []int
 	// NaiveLatency selects the per-request model.LatencyState reference
 	// oracle instead of the cohort oracle. Gains, totals and committed

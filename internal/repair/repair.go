@@ -266,10 +266,16 @@ func RepairDegraded(ref, degraded *model.Instance, st model.Strategy, opt Option
 	newAlloc := ledger.Alloc()
 
 	// Phase B: rebuild the delivery profile — survivors keep their
-	// slots, the greedy re-places into what storage remains.
+	// slots, the greedy re-places into what storage remains, with the
+	// zero engine Options (sequential seed scan). survivors is non-nil
+	// even when every server is down: a nil Servers list would propose
+	// every server.
 	delivery := model.NewDelivery(degraded.N(), degraded.K())
-	ls := model.NewLatencyState(degraded, newAlloc)
+	survivors := []int{}
 	for i := 0; i < degraded.N(); i++ {
+		if !down(i) {
+			survivors = append(survivors, i)
+		}
 		for k := 0; k < degraded.K(); k++ {
 			if !st.Delivery.Placed(i, k) {
 				continue
@@ -279,22 +285,12 @@ func RepairDegraded(ref, degraded *model.Instance, st model.Strategy, opt Option
 				continue
 			}
 			delivery.Place(i, k, degraded.Wl.Items[k].Size)
-			ls.Commit(i, k)
 		}
 	}
-	oracle := &repairOracle{in: degraded, ls: ls, d: delivery}
-	var cands []placement.Candidate
-	for i := 0; i < degraded.N(); i++ {
-		if down(i) {
-			continue
-		}
-		for k := 0; k < degraded.K(); k++ {
-			if !delivery.Placed(i, k) {
-				cands = append(cands, placement.Candidate{Server: i, Item: k})
-			}
-		}
-	}
-	pres := placement.LazyGreedy(cands, oracle)
+	pres := placement.Deliver(placement.DeliverySpec{
+		In: degraded, Alloc: newAlloc, Delivery: delivery, Servers: survivors,
+		Engine: placement.Options{},
+	})
 	rep.ReplacedReplicas = len(pres.Chosen)
 
 	repaired := model.Strategy{Alloc: newAlloc, Delivery: delivery, Mode: st.Mode}
@@ -307,21 +303,8 @@ func RepairDegraded(ref, degraded *model.Instance, st model.Strategy, opt Option
 
 // bestRespond moves j to its Eq. 12 best response; reports movement.
 func bestRespond(in *model.Instance, l *model.Ledger, j int) bool {
-	cur := l.Current(j)
-	curB := l.Benefit(j, cur)
-	best, bestB := cur, curB
-	for _, i := range in.Top.Coverage[j] {
-		for x := 0; x < in.Top.Servers[i].Channels; x++ {
-			a := model.Alloc{Server: i, Channel: x}
-			if a == cur {
-				continue
-			}
-			if b := l.Benefit(j, a); b > bestB {
-				best, bestB = a, b
-			}
-		}
-	}
-	if best != cur && bestB > curB+1e-12 {
+	best, bestB, curB := l.Best(j, in.Top.Coverage[j])
+	if best != l.Current(j) && bestB > curB+1e-12 {
 		l.Move(j, best)
 		return true
 	}
@@ -343,31 +326,4 @@ func neighbourhood(in *model.Instance, displaced []int) []int {
 		}
 	}
 	return out
-}
-
-type repairOracle struct {
-	in *model.Instance
-	ls *model.LatencyState
-	d  *model.Delivery
-}
-
-func (o *repairOracle) Gain(c placement.Candidate) float64 {
-	return float64(o.ls.GainOf(c.Server, c.Item))
-}
-
-func (o *repairOracle) Cost(c placement.Candidate) float64 {
-	return float64(o.in.Wl.Items[c.Item].Size)
-}
-
-func (o *repairOracle) Feasible(c placement.Candidate) bool {
-	if o.d.Placed(c.Server, c.Item) {
-		return false
-	}
-	size := o.in.Wl.Items[c.Item].Size
-	return o.d.Used(c.Server)+size <= o.in.Wl.Capacity[c.Server]
-}
-
-func (o *repairOracle) Commit(c placement.Candidate) float64 {
-	o.d.Place(c.Server, c.Item, o.in.Wl.Items[c.Item].Size)
-	return float64(o.ls.Commit(c.Server, c.Item))
 }

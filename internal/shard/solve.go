@@ -150,16 +150,16 @@ func (c Config) TileStream(t int) *rng.Stream {
 	return rng.New(c.Seed).SplitN("tile", t)
 }
 
-// tileGame adapts one tile's slice of the IDDE-U game to the generic
-// engine: players are the tile's owned users (ascending), decisions and
-// benefits are evaluated on the given ledger, and the dirty-set
-// neighbourhood is the Covered lists filtered to the tile's players.
-// cov holds the per-user decision lists Best enumerates — the full
-// Coverage lists for a single tile (making that run bit-identical to
-// the global solver), the tile-restricted lists for T>1 (users only
-// consider their own tile's servers; ownership is nearest-covering, so
-// those are exactly the high-gain ones).
-type tileGame struct {
+// Game adapts a slice of the IDDE-U game to the generic engine (the
+// one Phase 1 adapter): players are the given users (ascending),
+// decisions and benefits are evaluated on the given ledger, and the
+// dirty-set neighbourhood is the Covered lists filtered to the game's
+// players. cov holds the per-user decision lists Best enumerates — the
+// full Coverage lists for the global game and a single tile, the
+// tile-restricted lists for T>1 (users only consider their own tile's
+// servers; ownership is nearest-covering, so those are exactly the
+// high-gain ones).
+type Game struct {
 	in      *model.Instance
 	l       *model.Ledger
 	players []int
@@ -171,34 +171,39 @@ type tileGame struct {
 	aff   []int
 }
 
-func (g *tileGame) NumPlayers() int { return len(g.players) }
-
-func (g *tileGame) Best(p int) (model.Alloc, float64, float64) {
-	j := g.players[p]
-	cur := g.l.Current(j)
-	curB := g.l.Benefit(j, cur)
-	best, bestB := cur, curB
-	for _, i := range g.cov[j] {
-		for x := 0; x < g.in.Top.Servers[i].Channels; x++ {
-			a := model.Alloc{Server: i, Channel: x}
-			if a == cur {
-				continue
-			}
-			if b := g.l.Benefit(j, a); b > bestB {
-				best, bestB = a, b
-			}
-		}
+// NewGlobalGame is Algorithm 1's Phase 1 game over every user, the
+// global solve's adapter: players 0..M−1 decide over their full
+// Coverage lists on a ledger over in, and the identity player table
+// passes every Covered list through unfiltered.
+func NewGlobalGame(in *model.Instance, l *model.Ledger) *Game {
+	players := make([]int, in.M())
+	local := make([]int32, in.M())
+	for j := range players {
+		players[j] = j
+		local[j] = int32(j + 1)
 	}
-	return best, bestB, curB
+	return &Game{in: in, l: l, players: players, cov: in.Top.Coverage, local: local}
 }
 
-func (g *tileGame) Apply(p int, a model.Alloc) { g.l.Move(g.players[p], a) }
+func (g *Game) NumPlayers() int { return len(g.players) }
 
-// Affected filters the perturbed-user sets (covered by the source and
-// destination servers) down to this game's players, preserving the
-// global order — with all users as players the pending sequence matches
-// core's allocGame bit for bit.
-func (g *tileGame) Affected(p int, a model.Alloc) []int {
+// Best is the Eq. 12 best response of player p over its decision list.
+func (g *Game) Best(p int) (model.Alloc, float64, float64) {
+	j := g.players[p]
+	return g.l.Best(j, g.cov[j])
+}
+
+func (g *Game) Apply(p int, a model.Alloc) { g.l.Move(g.players[p], a) }
+
+// Affected implements game.Localized. A commit by user j only mutates
+// the two (server, channel) cells it leaves and enters, and player q's
+// Eq. 12 benefit for any decision in δ_q reads exclusively channels of
+// q's own covering servers (both the intra-channel sum and the
+// inter-cell term of Eq. 2 range over V_q). So the players whose payoff
+// landscape can change are those covered by the source or the
+// destination server, filtered to this game's players in the global
+// order.
+func (g *Game) Affected(p int, a model.Alloc) []int {
 	aff := g.aff[:0]
 	j := g.players[p]
 	cur := g.l.Current(j)
@@ -220,10 +225,11 @@ func (g *tileGame) Affected(p int, a model.Alloc) []int {
 	return aff
 }
 
-// RoundMetrics reports the tile ledger's Eq. 5 average rate on traced
-// rounds (over all M users; unowned users are unallocated in a tile
-// ledger and contribute zero).
-func (g *tileGame) RoundMetrics(put func(key string, v float64)) {
+// RoundMetrics implements game.RoundMetrics: every traced round records
+// the ledger's Eq. 5 average rate (over all M users; unowned users are
+// unallocated in a tile ledger and contribute zero), the convergence
+// quantity Figures 3–6 report.
+func (g *Game) RoundMetrics(put func(key string, v float64)) {
 	put("r_avg", float64(g.l.AvgRate()))
 }
 
@@ -366,7 +372,7 @@ func Solve(in *model.Instance, cfg Config) *Result {
 		}
 		opt := cfg.Game
 		opt.Obs = tsc
-		stats[t] = game.Run[model.Alloc](&tileGame{
+		stats[t] = game.Run[model.Alloc](&Game{
 			in: view, l: l, players: p.Tiles[t].Users, cov: view.Top.Coverage, local: local,
 		}, opt)
 		if tsc.Tracing() {
@@ -572,7 +578,7 @@ func runExchange(in *model.Instance, p *Partition, l *model.Ledger, restricted [
 			opt := cfg.Game
 			opt.Policy = game.RoundRobin
 			opt.Obs = sc
-			gs := game.Run[model.Alloc](&tileGame{
+			gs := game.Run[model.Alloc](&Game{
 				in: in, l: l, players: tile.Users, cov: restricted, local: local,
 			}, opt)
 			updates += gs.Updates
