@@ -183,31 +183,10 @@ func BenchmarkAblationGreedyOracle(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			var evals int
 			for i := 0; i < b.N; i++ {
-				_, pres := core.SolveDelivery(in, alloc, mode.naive)
+				_, pres := core.SolveDeliveryOpt(in, alloc, core.Options{NaiveGreedy: mode.naive})
 				evals = pres.Evaluations
 			}
 			b.ReportMetric(float64(evals), "oracle-evals")
-		})
-	}
-}
-
-// BenchmarkAblationParallelScan compares sequential and parallel
-// best-response scans in Phase 1.
-func BenchmarkAblationParallelScan(b *testing.B) {
-	in, err := experiment.BuildInstance(experiment.Params{N: 40, M: 350, K: 5, Density: 1.0}, 13)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, par := range []struct {
-		name string
-		on   bool
-	}{{"sequential", false}, {"parallel", true}} {
-		b.Run(par.name, func(b *testing.B) {
-			opt := core.DefaultOptions()
-			opt.Game.Parallel = par.on
-			for i := 0; i < b.N; i++ {
-				core.Solve(in, opt)
-			}
 		})
 	}
 }
@@ -579,11 +558,10 @@ func BenchmarkLatencyGain(b *testing.B) {
 }
 
 // BenchmarkPhase2Solve is the Phase 2 headline trajectory: the
-// optimized engine (cohort oracle + parallel-seeded CELF) against the
+// optimized engine (cohort oracle + CELF) against the
 // naive-oracle CELF run and the literal re-scan reference at the
 // CI-affordable scales.
 func BenchmarkPhase2Solve(b *testing.B) {
-	seq := placement.NewOptions(placement.Options{})
 	cases := []struct {
 		name string
 		m    int
@@ -592,9 +570,9 @@ func BenchmarkPhase2Solve(b *testing.B) {
 		{"optimized/M=400", 400, core.Options{}},
 		{"optimized/M=1000", 1000, core.Options{}},
 		{"optimized/M=2000", 2000, core.Options{}},
-		{"naive-oracle/M=400", 400, core.Options{NaiveLatency: true, Placement: seq}},
-		{"naive-oracle/M=1000", 1000, core.Options{NaiveLatency: true, Placement: seq}},
-		{"reference/M=400", 400, core.Options{NaiveLatency: true, NaiveGreedy: true, Placement: seq}},
+		{"naive-oracle/M=400", 400, core.Options{NaiveLatency: true}},
+		{"naive-oracle/M=1000", 1000, core.Options{NaiveLatency: true}},
+		{"reference/M=400", 400, core.Options{NaiveLatency: true, NaiveGreedy: true}},
 	}
 	for _, c := range cases {
 		in, alloc := perfScale2(b, c.m)

@@ -29,10 +29,10 @@ import (
 
 // Options tunes IDDE-G.
 type Options struct {
-	// Game configures the Phase 1 best-response dynamics. The zero
-	// value is replaced by game.DefaultOptions(); an intentionally
-	// all-zero configuration must carry game.Options.Set (see
-	// game.NewOptions) to be preserved.
+	// Game configures the Phase 1 best-response dynamics, which run on
+	// the solving goroutine. The zero value is replaced by
+	// game.DefaultOptions(); an intentionally all-zero configuration
+	// must carry game.Options.Set (see game.NewOptions) to be preserved.
 	Game game.Options
 	// NaiveGreedy switches Phase 2 from the lazy (CELF) evaluator to
 	// the literal re-scan-everything loop of Algorithm 1; the output is
@@ -65,10 +65,9 @@ type Options struct {
 	// Deprecated: has no effect. It stays declared because the idbench
 	// benchmark module reads it.
 	AggRowBudget int
-	// Placement configures the Phase 2 greedy engine (parallel seed
-	// scan). The zero value is replaced by placement.DefaultOptions();
-	// an intentionally all-zero configuration must carry
-	// placement.Options.Set (see placement.NewOptions) to be preserved.
+	// Placement configures the Phase 2 greedy engine, which runs on the
+	// solving goroutine. It is used as given: its zero value is IDDE-G's
+	// Phase 2 configuration.
 	Placement placement.Options
 	// DenseInstance solves on the dense-materialized sibling of the
 	// instance (model.Instance.Densified): every gain read hits an N×M
@@ -117,10 +116,10 @@ func DefaultOptions() Options {
 // ReferenceOptions returns the unoptimized literal-Algorithm-1
 // configuration: full-scan rounds (no dirty-set scheduling) over the
 // naive O(occupancy) interference evaluator, and the literal Phase 2
-// argmax re-scan over the per-request latency walk with sequential
-// seeding. It is behavior-identical to DefaultOptions up to
-// floating-point summation order and is the reference the differential
-// suites and the root benches compare against.
+// argmax re-scan over the per-request latency walk. It is
+// behavior-identical to DefaultOptions up to floating-point summation
+// order and is the reference the differential suites and the root
+// benches compare against.
 func ReferenceOptions() Options {
 	g := game.DefaultOptions()
 	g.FullScan = true
@@ -129,7 +128,6 @@ func ReferenceOptions() Options {
 		NaiveInterference: true,
 		NaiveGreedy:       true,
 		NaiveLatency:      true,
-		Placement:         placement.NewOptions(placement.Options{}),
 	}
 }
 
@@ -278,18 +276,10 @@ func publishSolve(sc *obs.Scope, res *Result) {
 	sc.SetGauge("solve_last_phase2_ms", float64(res.Phase2Time.Milliseconds()))
 }
 
-// SolveDelivery exposes Phase 2 alone for a caller-supplied allocation
-// (the CDP baseline reuses it with its own allocation rule). The naive
-// flag toggles the greedy engine only (literal re-scan vs CELF); both
-// run the cohort oracle. Use SolveDeliveryOpt for full oracle/engine
-// control.
-func SolveDelivery(in *model.Instance, alloc model.Allocation, naive bool) (*model.Delivery, placement.Result) {
-	return solveDelivery(in, alloc, Options{NaiveGreedy: naive})
-}
-
-// SolveDeliveryOpt exposes Phase 2 alone with the full Options surface:
-// oracle choice (NaiveLatency), greedy engine (NaiveGreedy) and seed
-// scan configuration (Placement).
+// SolveDeliveryOpt exposes Phase 2 alone for a caller-supplied
+// allocation with the full Options surface: oracle choice
+// (NaiveLatency), greedy engine (NaiveGreedy) and engine configuration
+// (Placement).
 func SolveDeliveryOpt(in *model.Instance, alloc model.Allocation, opt Options) (*model.Delivery, placement.Result) {
 	return solveDelivery(in, alloc, opt)
 }
@@ -298,7 +288,7 @@ func SolveDeliveryOpt(in *model.Instance, alloc model.Allocation, opt Options) (
 // placement.Deliver driver inside the phase2 span.
 func solveDelivery(in *model.Instance, alloc model.Allocation, opt Options) (*model.Delivery, placement.Result) {
 	sc := scopeOf(opt)
-	eng := opt.Placement.Resolve()
+	eng := opt.Placement
 	if sc != nil {
 		eng.Obs = sc
 	}

@@ -299,7 +299,7 @@ func TestSolveDeliveryStandalone(t *testing.T) {
 		i := in.Top.Coverage[j][0]
 		alloc[j] = model.Alloc{Server: i, Channel: j % in.Top.Servers[i].Channels}
 	}
-	d, pres := SolveDelivery(in, alloc, false)
+	d, pres := SolveDeliveryOpt(in, alloc, Options{})
 	if err := in.CheckDelivery(d); err != nil {
 		t.Fatalf("delivery invalid: %v", err)
 	}

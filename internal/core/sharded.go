@@ -7,10 +7,10 @@ import (
 
 // solveSharded delegates a Shards>0 solve to internal/shard, mapping
 // the Options surface onto shard.Config and the shard.Result back onto
-// the core Result. The option resolution (zero-value → defaults, Obs
-// injection) happens inside shard.Solve with the same rules as the
-// global path, so an explicit all-zero Game/Placement configuration
-// behaves identically under both solvers.
+// the core Result. The option resolution (zero-value Game → defaults,
+// Obs injection) happens inside shard.Solve with the same rules as the
+// global path, so an explicit all-zero Game configuration behaves
+// identically under both solvers.
 func solveSharded(in *model.Instance, opt Options) *Result {
 	sc := scopeOf(opt)
 	g := opt.Game

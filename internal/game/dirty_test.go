@@ -181,14 +181,13 @@ func TestDirtySetSavesEvaluations(t *testing.T) {
 }
 
 // TestDirtySetMatchesUnderKnobs sweeps the option surface: caps, budget
-// exhaustion, epsilon thresholds and the parallel scan must all preserve
-// the dirty/full equivalence.
+// exhaustion and epsilon thresholds must all preserve the dirty/full
+// equivalence.
 func TestDirtySetMatchesUnderKnobs(t *testing.T) {
 	cases := []Options{
 		{Policy: WinnerTakesAll, Epsilon: 1e-12, PerPlayerCap: 2},
 		{Policy: WinnerTakesAll, Epsilon: 1e-12, MaxUpdates: 7},
 		{Policy: WinnerTakesAll, Epsilon: 0.05},
-		{Policy: WinnerTakesAll, Epsilon: 1e-12, Parallel: true, ParallelThreshold: 1},
 		{Policy: RoundRobin, Epsilon: 1e-12, PerPlayerCap: 2},
 		{Policy: RoundRobin, Epsilon: 1e-12, MaxUpdates: 7},
 		{Policy: RoundRobin, Epsilon: 0.05},
@@ -202,15 +201,6 @@ func TestDirtySetMatchesUnderKnobs(t *testing.T) {
 	}
 }
 
-// TestDirtySetParallelRace runs the parallel dirty-set scan under -race
-// with the threshold forced to 1 so every pending batch fans out.
-func TestDirtySetParallelRace(t *testing.T) {
-	s := rng.New(7)
-	g := newLocalCongestion(300, 25, 5, s)
-	opt := Options{Policy: WinnerTakesAll, Epsilon: 1e-12, Parallel: true, ParallelThreshold: 1}
-	runBoth(t, g, opt)
-}
-
 // TestOptionsSetMarker covers the Set plumbing embedders rely on.
 func TestOptionsSetMarker(t *testing.T) {
 	if !DefaultOptions().Set {
@@ -221,29 +211,5 @@ func TestOptionsSetMarker(t *testing.T) {
 	}
 	if (Options{}).Set {
 		t.Fatal("zero-value Options must not claim to be configured")
-	}
-}
-
-// TestParallelThresholdOption checks that an absurdly high threshold
-// (never parallelize) and a threshold of 1 (always parallelize) both
-// reproduce the sequential dynamics.
-func TestParallelThresholdOption(t *testing.T) {
-	for _, thresh := range []int{1, 1 << 20} {
-		s := rng.New(99)
-		g := newLocalCongestion(120, 15, 4, s)
-		seq := &recorder{inner: g.clone()}
-		par := &recorder{inner: g.clone()}
-		base := Options{Policy: WinnerTakesAll, Epsilon: 1e-12}
-		stSeq := Run[int](seq, base)
-		withPar := base
-		withPar.Parallel = true
-		withPar.ParallelThreshold = thresh
-		stPar := Run[int](par, withPar)
-		if !reflect.DeepEqual(seq.log, par.log) {
-			t.Fatalf("threshold %d: parallel scan changed the move sequence", thresh)
-		}
-		if stSeq != stPar {
-			t.Fatalf("threshold %d: stats diverge: %+v vs %+v", thresh, stSeq, stPar)
-		}
 	}
 }

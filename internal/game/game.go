@@ -30,20 +30,25 @@
 // landscape is untouched, so a fresh evaluation would return the same
 // decision bit for bit. Options.FullScan forces the literal protocol for
 // core.ReferenceOptions and the differential tests built on it.
+//
+// # One goroutine
+//
+// Run evaluates and commits on the caller's goroutine. Algorithm 1 is
+// sequential, and fanning the proposal scan out to workers bought wall
+// time at extra CPU time on every measured workload. Callers that want
+// several cores run independent games side by side, as the sharded
+// solver's tile workers do.
 package game
 
 import (
 	"fmt"
-	"runtime"
-	"sync/atomic"
 
 	"idde/internal/obs"
 )
 
 // Adapter connects a concrete game to the engine. Decisions are opaque
-// values of type D. Best must be safe for concurrent invocation with
-// distinct players while the profile is not being mutated; Apply is
-// always called from a single goroutine.
+// values of type D. Run calls every method from the goroutine that
+// called it, one call at a time, so adapters need no synchronization.
 type Adapter[D any] interface {
 	// NumPlayers reports the number of players.
 	NumPlayers() int
@@ -110,10 +115,6 @@ func (p Policy) String() string {
 	}
 }
 
-// DefaultParallelThreshold is the player count below which the parallel
-// proposal scan is not worth the goroutine fan-out.
-const DefaultParallelThreshold = 64
-
 // Options tunes the dynamics.
 type Options struct {
 	Policy Policy
@@ -133,13 +134,6 @@ type Options struct {
 	// best-responded) decision, and the dynamics terminate in an
 	// equilibrium of the remaining players.
 	PerPlayerCap int
-	// Parallel enables the concurrent best-response scan.
-	Parallel bool
-	// ParallelThreshold is the minimum number of players (or, for
-	// dirty-set rounds, invalidated players) before the parallel scan
-	// kicks in; 0 means DefaultParallelThreshold. Benches force either
-	// path by setting it to 1 or disabling Parallel.
-	ParallelThreshold int
 	// Obs receives the engine's telemetry: per-round trace events (when
 	// a tracer is attached), a round-size histogram, and the final
 	// Stats cross-wired into counters. nil disables all of it at the
@@ -157,8 +151,8 @@ type Options struct {
 	FullScan bool
 	// Set marks the Options as explicitly configured. Embedders (e.g.
 	// core.Solve) replace a zero-value Options with their defaults; an
-	// intentionally all-zero configuration — sequential winner-takes-all
-	// with Epsilon 0 and no caps — must carry Set (use NewOptions) to
+	// intentionally all-zero configuration — winner-takes-all with
+	// Epsilon 0 and no caps — must carry Set (use NewOptions) to
 	// survive that replacement.
 	Set bool
 }
@@ -172,7 +166,7 @@ func NewOptions(o Options) Options {
 
 // DefaultOptions returns the engine configuration used by IDDE-G.
 func DefaultOptions() Options {
-	return Options{Policy: WinnerTakesAll, Epsilon: 1e-12, PerPlayerCap: 16, Parallel: true, Set: true}
+	return Options{Policy: WinnerTakesAll, Epsilon: 1e-12, PerPlayerCap: 16, Set: true}
 }
 
 // Resolve replaces an unset zero-value Options with DefaultOptions.
@@ -218,41 +212,15 @@ type proposal[D any] struct {
 	gain float64
 }
 
-// runner carries the shared state of one Run invocation.
+// runner carries the state of one Run invocation.
 type runner[D any] struct {
-	a      Adapter[D]
-	opt    Options
-	n      int
-	thresh int
-	props  []proposal[D]
-	moves  []int
-	evals  atomic.Int64
-	st     Stats
-
-	// Persistent worker pool for the parallel proposal scans: started
-	// lazily on the first round that crosses the threshold and fed
-	// index spans over per-worker channels, so a steady-state round
-	// spawns no goroutines and allocates nothing. parFn is always one
-	// of the two closures below, created once per Run; the channel
-	// send/receive pairs give the happens-before edges for both the
-	// parFn handoff and the workers' result writes.
-	workers int
-	jobs    []chan idxSpan
-	jobDone chan struct{}
-	parFn   func(idx int)
-	scanFn  func(idx int) // full-scan proposal refresh: eval(idx)
-	fillFn  func(idx int) // dirty-round refresh: pending[idx] → scratch[idx]
-
-	// pending lists the players invalidated by the previous commit;
-	// scratch receives their fresh proposals so each heap key changes
-	// one at a time (a batched overwrite would break the sift
-	// invariant).
-	pending []int
-	scratch []proposal[D]
+	a     Adapter[D]
+	opt   Options
+	n     int
+	props []proposal[D]
+	moves []int
+	st    Stats
 }
-
-// idxSpan is one worker's half-open index range for a parallel scan.
-type idxSpan struct{ lo, hi int }
 
 // Run executes best-response dynamics until no player can improve or
 // the update budget is exhausted.
@@ -264,34 +232,17 @@ func Run[D any](a Adapter[D], opt Options) Stats {
 			opt.MaxUpdates = 1000
 		}
 	}
-	thresh := opt.ParallelThreshold
-	if thresh <= 0 {
-		thresh = DefaultParallelThreshold
-	}
 	r := &runner[D]{
-		a:      a,
-		opt:    opt,
-		n:      n,
-		thresh: thresh,
-		props:  make([]proposal[D], n),
-		moves:  make([]int, n),
+		a:     a,
+		opt:   opt,
+		n:     n,
+		props: make([]proposal[D], n),
+		moves: make([]int, n),
 	}
 	if n == 0 {
 		r.st.Converged = true
 		return r.st
 	}
-	r.scanFn = func(j int) { r.eval(j) }
-	r.fillFn = func(idx int) {
-		j := r.pending[idx]
-		if !r.eligible(j) {
-			r.scratch[idx] = proposal[D]{gain: 0}
-			return
-		}
-		d, benefit, cur := r.a.Best(j)
-		r.evals.Add(1)
-		r.scratch[idx] = proposal[D]{d: d, gain: benefit - cur}
-	}
-	defer r.stopPool()
 	loc, localized := a.(Localized[D])
 	localized = localized && !opt.FullScan
 
@@ -311,7 +262,6 @@ func Run[D any](a Adapter[D], opt Options) Stats {
 	default:
 		panic(fmt.Sprintf("game: unknown policy %d", int(opt.Policy)))
 	}
-	r.st.Evaluations = int(r.evals.Load())
 	publishStats(opt.Obs, r.st)
 	return r.st
 }
@@ -353,7 +303,7 @@ func (r *runner[D]) traceRound(winner int, gain float64, evaluated int) {
 	args := map[string]any{
 		"round":   r.st.Rounds,
 		"updates": r.st.Updates,
-		"evals":   r.evals.Load(),
+		"evals":   r.st.Evaluations,
 		"dirty":   evaluated,
 		"winner":  winner,
 		"gain":    gain,
@@ -388,97 +338,15 @@ func (r *runner[D]) eval(j int) {
 		return
 	}
 	d, benefit, cur := r.a.Best(j)
-	r.evals.Add(1)
+	r.st.Evaluations++
 	r.props[j] = proposal[D]{d: d, gain: benefit - cur}
-}
-
-// startPool lazily launches the persistent scan workers. The worker
-// count is pinned at first use; GOMAXPROCS changes after that point
-// affect scheduling but not the chunking (which only has to be
-// deterministic, and is — it depends on the count alone).
-func (r *runner[D]) startPool() {
-	if r.jobs != nil {
-		return
-	}
-	r.workers = runtime.GOMAXPROCS(0)
-	if r.workers > r.n {
-		r.workers = r.n
-	}
-	r.jobs = make([]chan idxSpan, r.workers)
-	if r.workers < 2 {
-		return // forEach falls back to the inline loop
-	}
-	r.jobDone = make(chan struct{}, r.workers)
-	for w := range r.jobs {
-		ch := make(chan idxSpan)
-		r.jobs[w] = ch
-		go func(ch chan idxSpan) {
-			for s := range ch {
-				fn := r.parFn
-				for idx := s.lo; idx < s.hi; idx++ {
-					fn(idx)
-				}
-				r.jobDone <- struct{}{}
-			}
-		}(ch)
-	}
-}
-
-// stopPool shuts the scan workers down at the end of Run.
-func (r *runner[D]) stopPool() {
-	for _, ch := range r.jobs {
-		if ch != nil {
-			close(ch)
-		}
-	}
-	r.jobs = nil
-}
-
-// forEach runs fn over 0..count-1, fanning out to the worker pool when
-// the parallel scan is enabled and worthwhile. fn must be one of the
-// premade runner closures so steady-state rounds allocate nothing. The
-// span partitioning is the same deterministic chunking the historical
-// per-round goroutine fan-out used: workers write disjoint result
-// slots, and every merge downstream walks index order, so the outcome
-// is independent of worker scheduling.
-func (r *runner[D]) forEach(count int, fn func(idx int)) {
-	if !r.opt.Parallel || count < r.thresh {
-		for idx := 0; idx < count; idx++ {
-			fn(idx)
-		}
-		return
-	}
-	r.startPool()
-	workers := r.workers
-	if workers < 2 {
-		for idx := 0; idx < count; idx++ {
-			fn(idx)
-		}
-		return
-	}
-	if workers > count {
-		workers = count
-	}
-	r.parFn = fn
-	chunk := (count + workers - 1) / workers
-	launched := 0
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, count)
-		if lo >= hi {
-			break
-		}
-		r.jobs[w] <- idxSpan{lo, hi}
-		launched++
-	}
-	for ; launched > 0; launched-- {
-		<-r.jobDone
-	}
 }
 
 // scanAll refreshes every cached proposal (one full Algorithm 1 scan).
 func (r *runner[D]) scanAll() {
-	r.forEach(r.n, r.scanFn)
+	for j := 0; j < r.n; j++ {
+		r.eval(j)
+	}
 }
 
 // winnerFullScan is the literal Algorithm 1 protocol: every round
@@ -557,18 +425,15 @@ func (r *runner[D]) winnerDirty(loc Localized[D]) {
 		}
 	}
 
-	// seen/stamp dedupe the adapter's affected list into r.pending; the
-	// parallel refresh fills r.scratch through the premade fillFn so
-	// each heap key still changes one at a time (a batched overwrite
-	// would break the sift invariant).
-	r.pending = make([]int, 0, n)
-	r.scratch = make([]proposal[D], 0, n)
+	// pending lists the players the previous commit invalidated;
+	// seen/stamp dedupe the adapter's affected list into it.
+	pending := make([]int, 0, n)
 	seen := make([]int, n)
 	stamp := 0
 
 	for r.st.Updates < r.opt.MaxUpdates {
 		r.st.Rounds++
-		evaluated := len(r.pending)
+		evaluated := len(pending)
 		if r.st.Rounds == 1 {
 			evaluated = n
 			r.scanAll()
@@ -580,12 +445,12 @@ func (r *runner[D]) winnerDirty(loc Localized[D]) {
 				down(pos)
 			}
 		} else {
-			r.scratch = r.scratch[:len(r.pending)]
-			r.forEach(len(r.pending), r.fillFn)
-			for idx, j := range r.pending {
-				r.props[j] = r.scratch[idx]
-				pos := heapPos[j]
-				up(pos)
+			// Refresh and re-sift one key at a time: a batched overwrite
+			// would break the sift invariant. Best never reads the cached
+			// proposals, so the order of the refreshes cannot change them.
+			for _, j := range pending {
+				r.eval(j)
+				up(heapPos[j])
 				down(heapPos[j])
 			}
 		}
@@ -599,13 +464,12 @@ func (r *runner[D]) winnerDirty(loc Localized[D]) {
 		d := r.props[winner].d
 		winnerGain := r.props[winner].gain
 		stamp++
-		r.pending = r.pending[:0]
-		r.pending = append(r.pending, winner)
+		pending = append(pending[:0], winner)
 		seen[winner] = stamp
 		for _, q := range loc.Affected(winner, d) {
 			if q >= 0 && q < n && seen[q] != stamp {
 				seen[q] = stamp
-				r.pending = append(r.pending, q)
+				pending = append(pending, q)
 			}
 		}
 		r.a.Apply(winner, d)
@@ -628,7 +492,7 @@ func (r *runner[D]) roundRobinFullScan() {
 				continue
 			}
 			d, benefit, cur := r.a.Best(j)
-			r.evals.Add(1)
+			r.st.Evaluations++
 			evaluated++
 			if benefit-cur > r.opt.Epsilon {
 				r.a.Apply(j, d)
@@ -666,7 +530,7 @@ func (r *runner[D]) roundRobinDirty(loc Localized[D]) {
 				continue
 			}
 			d, benefit, cur := r.a.Best(j)
-			r.evals.Add(1)
+			r.st.Evaluations++
 			evaluated++
 			if benefit-cur > r.opt.Epsilon {
 				for _, q := range loc.Affected(j, d) {

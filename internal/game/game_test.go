@@ -95,23 +95,6 @@ func TestRoundRobinConvergesFaster(t *testing.T) {
 	}
 }
 
-func TestParallelScanMatchesSequential(t *testing.T) {
-	// 100 players ≥ the parallel threshold; determinism of the outcome
-	// must not depend on the scan mode since Apply is serialized.
-	gp := newCongestion(100, 7)
-	gs := newCongestion(100, 7)
-	sp := Run[int](gp, Options{Policy: WinnerTakesAll, Epsilon: 1e-12, Parallel: true})
-	ss := Run[int](gs, Options{Policy: WinnerTakesAll, Epsilon: 1e-12, Parallel: false})
-	if sp.Updates != ss.Updates || sp.Rounds != ss.Rounds {
-		t.Errorf("parallel (%+v) and sequential (%+v) diverged", sp, ss)
-	}
-	for r := range gp.load {
-		if gp.load[r] != gs.load[r] {
-			t.Errorf("final loads differ at resource %d", r)
-		}
-	}
-}
-
 func TestMaxUpdatesCap(t *testing.T) {
 	g := newCongestion(50, 5)
 	st := Run[int](g, Options{Policy: WinnerTakesAll, Epsilon: 1e-12, MaxUpdates: 3})

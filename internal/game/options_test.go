@@ -24,7 +24,7 @@ func TestResolveGameOptionsDefaultsZeroValue(t *testing.T) {
 
 // TestResolveGameOptionsPreservesExplicitZero is the regression test for
 // the silent-replacement bug: an intentionally all-zero configuration
-// (sequential winner-takes-all, Epsilon 0, no caps) built with
+// (winner-takes-all, Epsilon 0, no caps) built with
 // NewOptions must pass through verbatim instead of being swapped for
 // the defaults.
 func TestResolveGameOptionsPreservesExplicitZero(t *testing.T) {
@@ -33,7 +33,7 @@ func TestResolveGameOptionsPreservesExplicitZero(t *testing.T) {
 	if got != explicit {
 		t.Fatalf("explicit all-zero options were replaced: got %+v", got)
 	}
-	if got.PerPlayerCap != 0 || got.Epsilon != 0 || got.Parallel {
+	if got.PerPlayerCap != 0 || got.Epsilon != 0 {
 		t.Fatalf("explicit zero configuration mutated: %+v", got)
 	}
 }

@@ -69,12 +69,12 @@ func TestAggregateRowsSkipOffCoverageSources(t *testing.T) {
 
 	// Probe receiver 0 only: its row materializes, others stay nil.
 	l.interCellOf(0, Alloc{Server: 0, Channel: 1})
-	d := l.agg[0].Load()
+	d := l.agg[0]
 	if d == nil {
 		t.Fatal("probed receiver row not materialized")
 	}
 	for i := 1; i < in.N(); i++ {
-		if l.agg[i].Load() != nil {
+		if l.agg[i] != nil {
 			t.Fatalf("un-probed receiver %d materialized a row", i)
 		}
 	}

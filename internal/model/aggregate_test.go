@@ -2,7 +2,6 @@ package model
 
 import (
 	"math"
-	"sync"
 	"testing"
 
 	"idde/internal/rng"
@@ -139,41 +138,6 @@ func TestAggregateEmptiedChannelIsExactlyZero(t *testing.T) {
 	}
 }
 
-// TestAggregateRowsBuildConcurrently exercises the lazy row publication
-// under concurrent best-response-style evaluation (run with -race).
-func TestAggregateRowsBuildConcurrently(t *testing.T) {
-	in := genInstance(t, 10, 120, 3, 9)
-	s := rng.New(11)
-	l := NewLedger(in, randomValidAllocation(in, s))
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for j := w; j < in.M(); j += 8 {
-				for _, i := range in.Top.Coverage[j] {
-					for x := 0; x < in.Top.Servers[i].Channels; x++ {
-						_ = l.Benefit(j, Alloc{Server: i, Channel: x})
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	// Cross-check a few values against the naive path after the builds.
-	ref := NewLedger(in, l.Alloc())
-	ref.SetNaiveInterference(true)
-	for j := 0; j < in.M(); j += 7 {
-		for _, i := range in.Top.Coverage[j] {
-			a := Alloc{Server: i, Channel: 0}
-			ba, br := l.Benefit(j, a), ref.Benefit(j, a)
-			if math.Abs(ba-br) > 1e-9*math.Max(1, br) {
-				t.Fatalf("post-concurrent-build Benefit mismatch for (%d,%v): %g vs %g", j, a, ba, br)
-			}
-		}
-	}
-}
-
 // TestSetNaiveInterferenceRoundTrip: toggling the reference path on and
 // off must not serve stale aggregates.
 func TestSetNaiveInterferenceRoundTrip(t *testing.T) {
@@ -224,11 +188,11 @@ func TestAggMemStatsAccounting(t *testing.T) {
 	var rows int
 	var rowBytes, bitBytes int64
 	for i := range l.agg {
-		if d := l.agg[i].Load(); d != nil {
+		if d := l.agg[i]; d != nil {
 			rows++
 			rowBytes += int64(4*len(d.srcOff) + 8*len(d.vals))
 		}
-		if ss := l.srcSets[i].Load(); ss != nil {
+		if ss := l.srcSets[i]; ss != nil {
 			bitBytes += int64(8 * len(ss.bits))
 		}
 	}
@@ -240,7 +204,7 @@ func TestAggMemStatsAccounting(t *testing.T) {
 		t.Fatalf("AggMemStats = %+v, want %d rows and %d+%d bytes", st, rows, rowBytes, bitBytes)
 	}
 	for j := 0; j < in.M(); j++ {
-		if vs := in.Top.Coverage[j]; len(vs) > 0 && l.agg[vs[0]].Load() != nil {
+		if vs := in.Top.Coverage[j]; len(vs) > 0 && l.agg[vs[0]] != nil {
 			_ = l.Benefit(j, Alloc{Server: vs[0], Channel: 0})
 			break
 		}

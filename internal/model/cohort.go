@@ -63,13 +63,8 @@ func Replay(o DeliveryOracle, d *Delivery) {
 // on both paths. The differential suites and FuzzCohortMatchesLatencyState
 // pin this down.
 //
-// Concurrency: GainOf writes a cohort sum when it materializes a
-// deferred fold, so concurrent GainOf calls are safe only while every
-// sum is materialized. The constructor returns with every sum
-// materialized, replayed replicas included, and only Commit defers: the
-// parallel seed scan, which runs before the first Commit, is safe; after
-// it evaluations must be sequential, which is the CELF engine's
-// behaviour.
+// GainOf writes a cohort sum when it materializes a deferred fold, so a
+// CohortLatencyState is not safe for concurrent use.
 type CohortLatencyState struct {
 	in *Instance
 	// cohorts[k] lists item k's cohorts ascending by serving server, as
@@ -124,9 +119,7 @@ func cohortCounts(in *Instance, alloc Allocation, requests *int, total *float64)
 
 // NewCohortLatencyState builds the cohort oracle for the given
 // allocation and replays the replicas already placed in d (nil for an
-// empty profile) through Replay. It returns with every cohort sum
-// materialized, so concurrent GainOf calls are safe until the first
-// Commit (see the concurrency note on the type).
+// empty profile) through Replay.
 func NewCohortLatencyState(in *Instance, alloc Allocation, d *Delivery) *CohortLatencyState {
 	ls := &CohortLatencyState{
 		in:      in,
@@ -169,12 +162,6 @@ func NewCohortLatencyState(in *Instance, alloc Allocation, d *Delivery) *CohortL
 	}
 	if d != nil {
 		Replay(ls, d)
-		for ci := range buf {
-			if c := &buf[ci]; !c.sumOK {
-				c.sum = foldUniform(c.cur, int(c.n))
-				c.sumOK = true
-			}
-		}
 	}
 	return ls
 }

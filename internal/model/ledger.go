@@ -3,8 +3,6 @@ package model
 import (
 	"math/bits"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"idde/internal/radio"
 	"idde/internal/units"
@@ -45,10 +43,7 @@ import (
 // (server, channel) pairs; so Move invalidates channel x of every user
 // in Covered[o] for each touched pair (o, x), plus every channel of the
 // mover, and every other cached value stays bit-identical to a fresh
-// evaluation. Concurrency contract: only Benefit(j, ·) writes user j's
-// memo entries, so concurrent Benefit calls must be for distinct users
-// — the game engine never evaluates one player on two workers at once —
-// and, as everywhere, Move must not race with evaluations.
+// evaluation.
 //
 // # Aggregate-row memory
 //
@@ -59,6 +54,9 @@ import (
 // AggMemStats reports the total. There is no residency cap: capping
 // rows cut their memory 7.2× at N=1000 but slowed each evaluation
 // 26–41× (DESIGN.md §5e).
+//
+// Evaluations fill the memo and build rows, so every method, readers
+// included, may write: a Ledger is not safe for concurrent use.
 type Ledger struct {
 	in    *Instance
 	alloc Allocation
@@ -73,28 +71,25 @@ type Ledger struct {
 	// memo caches in-coverage Benefit values; built at the first
 	// aggregate-path Benefit, so ledgers that only evaluate rates never
 	// pay for it.
-	memo atomic.Pointer[benefitMemo]
+	memo *benefitMemo
 
 	// agg[i] points at the lazily built receiver-i aggregate row:
 	// vals[srcOff[o]+x] = Σ_{t∈users[o][x]} Gain[i][t]·p_t, restricted
 	// to sources o that co-cover a user with i — the only sources the
-	// Eq. 2 Coverage walk can pair with receiver i. Rows are published
-	// atomically so concurrent best-response scans may fault them in;
-	// Move (single-writer by the Adapter contract) updates only rows
-	// that exist.
-	agg   []atomic.Pointer[aggRowData]
-	aggMu sync.Mutex
+	// Eq. 2 Coverage walk can pair with receiver i. Move updates only
+	// rows that exist.
+	agg []*aggRowData
 	// srcSets[i] caches receiver i's co-covering source set as a bitset
 	// with the total channel width. It is profile-independent, built at
 	// the first row build (or the first Move that needs server i's
 	// co-covering receivers — the same set, by symmetry) and kept when
 	// SetNaiveInterference drops the rows.
-	srcSets []atomic.Pointer[aggSrcSet]
+	srcSets []*aggSrcSet
 
 	// rowBytes counts the bytes of the built rows' slices; it is
 	// nonzero exactly when some row is built. srcSetBytes counts the
-	// bitsets. Both change only under aggMu.
-	rowBytes    atomic.Int64
+	// bitsets.
+	rowBytes    int64
 	srcSetBytes int64
 
 	// naive switches the inter-cell term to the O(occupancy) reference
@@ -109,8 +104,8 @@ func NewLedger(in *Instance, alloc Allocation) *Ledger {
 		alloc:   alloc.Clone(),
 		users:   make([][][]int, in.N()),
 		power:   make([][]units.Watts, in.N()),
-		agg:     make([]atomic.Pointer[aggRowData], in.N()),
-		srcSets: make([]atomic.Pointer[aggSrcSet], in.N()),
+		agg:     make([]*aggRowData, in.N()),
+		srcSets: make([]*aggSrcSet, in.N()),
 	}
 	for i := 0; i < in.N(); i++ {
 		c := in.Top.Servers[i].Channels
@@ -156,14 +151,9 @@ type benefitMemo struct {
 	chans, words int
 }
 
-// newMemo builds the Benefit memo under aggMu on first use. Every entry
-// starts invalid, so a memo created at any point is consistent.
+// newMemo builds the Benefit memo on first use. Every entry starts
+// invalid, so a memo created at any point is consistent.
 func (l *Ledger) newMemo() *benefitMemo {
-	l.aggMu.Lock()
-	defer l.aggMu.Unlock()
-	if m := l.memo.Load(); m != nil {
-		return m
-	}
 	m := &benefitMemo{}
 	for _, s := range l.in.Top.Servers {
 		m.chans = max(m.chans, s.Channels)
@@ -174,7 +164,7 @@ func (l *Ledger) newMemo() *benefitMemo {
 	m.val = make([]float64, len(l.covGain)*m.chans)
 	m.hint = make([]int32, len(l.in.Top.Coverage))
 	m.valid = make([]uint64, len(l.in.Top.Coverage)*m.chans*m.words)
-	l.memo.Store(m)
+	l.memo = m
 	return m
 }
 
@@ -231,18 +221,13 @@ func (m *benefitMemo) moved(covered [][]int, j int, from, to Alloc) {
 // summation order (the differential tests in this package pin that
 // down). The naive path is the reference that ReferenceOptions, the
 // differential suites and the root benches run, and a tool for
-// drift-sensitive debugging. Like Move, it must not race with
-// concurrent evaluations.
+// drift-sensitive debugging.
 func (l *Ledger) SetNaiveInterference(on bool) {
 	l.naive = on
 	// Built rows go stale while the naive path runs (Move stops
 	// maintaining them); drop them so re-enabling rebuilds from scratch.
-	l.aggMu.Lock()
-	defer l.aggMu.Unlock()
-	for i := range l.agg {
-		l.agg[i].Store(nil)
-	}
-	l.rowBytes.Store(0)
+	clear(l.agg)
+	l.rowBytes = 0
 }
 
 // Alloc returns a snapshot of the current profile.
@@ -257,8 +242,7 @@ func (l *Ledger) Occupancy(i, x int) int { return len(l.users[i][x]) }
 // Move reassigns user j to decision a (possibly Unallocated),
 // maintaining the channel registries and the built aggregate rows of
 // the receivers that co-cover the old or new server; a ledger with no
-// built row pays for the registries alone. Move must not race with
-// concurrent evaluations (the game engine serializes Apply).
+// built row pays for the registries alone.
 func (l *Ledger) Move(j int, a Alloc) {
 	cur := l.alloc[j]
 	if cur == a {
@@ -273,8 +257,8 @@ func (l *Ledger) Move(j int, a Alloc) {
 	}
 	l.alloc[j] = a
 	l.aggMove(j, cur, a)
-	if m := l.memo.Load(); m != nil {
-		m.moved(l.in.Top.Covered, j, cur, a)
+	if l.memo != nil {
+		l.memo.moved(l.in.Top.Covered, j, cur, a)
 	}
 }
 
@@ -304,7 +288,7 @@ func (s *aggSrcSet) has(o int) bool { return s.bits[o>>6]&(1<<(uint(o)&63)) != 0
 // receivers in srcSet(from.Server) ∪ srcSet(to.Server) can hold a cell
 // to update; every other row is left unread.
 func (l *Ledger) aggMove(j int, from, to Alloc) {
-	if l.naive || l.rowBytes.Load() == 0 {
+	if l.naive || l.rowBytes == 0 {
 		return
 	}
 	// Invariant: a built cell always equals the left-to-right fold of
@@ -335,7 +319,7 @@ func (l *Ledger) aggMove(j int, from, to Alloc) {
 		}
 		for ; word != 0; word &= word - 1 {
 			i := w<<6 | bits.TrailingZeros64(word)
-			d := l.agg[i].Load()
+			d := l.agg[i]
 			if d == nil {
 				continue
 			}
@@ -358,22 +342,11 @@ func (l *Ledger) aggMove(j int, from, to Alloc) {
 	}
 }
 
-// srcSet returns server o's co-covering source set, deriving it under
-// aggMu on first use.
-func (l *Ledger) srcSet(o int) *aggSrcSet {
-	if ss := l.srcSets[o].Load(); ss != nil {
-		return ss
-	}
-	l.aggMu.Lock()
-	defer l.aggMu.Unlock()
-	return l.srcSetLocked(o)
-}
-
-// srcSetLocked returns receiver i's co-covering source set, deriving it
-// on first use: the union of Coverage[j] across users j that server i
-// covers. Caller holds aggMu.
-func (l *Ledger) srcSetLocked(i int) *aggSrcSet {
-	if ss := l.srcSets[i].Load(); ss != nil {
+// srcSet returns receiver i's co-covering source set, deriving it on
+// first use: the union of Coverage[j] across users j that server i
+// covers.
+func (l *Ledger) srcSet(i int) *aggSrcSet {
+	if ss := l.srcSets[i]; ss != nil {
 		return ss
 	}
 	ss := &aggSrcSet{bits: make([]uint64, (l.in.N()+63)/64)}
@@ -388,16 +361,16 @@ func (l *Ledger) srcSetLocked(i int) *aggSrcSet {
 		}
 	}
 	l.srcSetBytes += int64(len(ss.bits) * 8)
-	l.srcSets[i].Store(ss)
+	l.srcSets[i] = ss
 	return ss
 }
 
-// buildRowLocked materializes receiver i's row, filling every cell with
-// the left-to-right fold over the current occupant lists (the aggMove
+// buildRow materializes receiver i's row, filling every cell with the
+// left-to-right fold over the current occupant lists (the aggMove
 // invariant), so a row built late is bit-identical to one maintained
-// all along. Caller holds aggMu.
-func (l *Ledger) buildRowLocked(i int) *aggRowData {
-	ss := l.srcSetLocked(i)
+// all along.
+func (l *Ledger) buildRow(i int) *aggRowData {
+	ss := l.srcSet(i)
 	d := &aggRowData{srcOff: make([]int32, l.in.N()), vals: make([]float64, ss.width)}
 	var off int32
 	for o := range d.srcOff {
@@ -422,23 +395,17 @@ func (l *Ledger) buildRowLocked(i int) *aggRowData {
 			d.vals[int(off)+x] = sum
 		}
 	}
-	l.rowBytes.Add(int64(4*len(d.srcOff) + 8*len(d.vals)))
-	l.agg[i].Store(d)
+	l.rowBytes += int64(4*len(d.srcOff) + 8*len(d.vals))
+	l.agg[i] = d
 	return d
 }
 
 // aggRow returns the receiver-i aggregate row, building it on first use.
-// Safe for concurrent callers between Moves.
 func (l *Ledger) aggRow(i int) *aggRowData {
-	if d := l.agg[i].Load(); d != nil {
+	if d := l.agg[i]; d != nil {
 		return d
 	}
-	l.aggMu.Lock()
-	defer l.aggMu.Unlock()
-	if d := l.agg[i].Load(); d != nil {
-		return d
-	}
-	return l.buildRowLocked(i)
+	return l.buildRow(i)
 }
 
 func (l *Ledger) remove(j int, a Alloc) {
@@ -547,11 +514,9 @@ func (l *Ledger) WarmAggregates() {
 	if l.naive {
 		return
 	}
-	l.aggMu.Lock()
-	defer l.aggMu.Unlock()
-	for i := range l.agg {
-		if l.agg[i].Load() == nil {
-			l.buildRowLocked(i)
+	for i, d := range l.agg {
+		if d == nil {
+			l.buildRow(i)
 		}
 	}
 }
@@ -569,17 +534,14 @@ type AggMemStats struct {
 	MemoBytes int64
 }
 
-// AggMemStats reports the aggregate-row memory accounting. Rows that
-// concurrent evaluations build while it runs may or may not be counted.
+// AggMemStats reports the aggregate-row memory accounting.
 func (l *Ledger) AggMemStats() AggMemStats {
-	l.aggMu.Lock()
-	defer l.aggMu.Unlock()
 	st := AggMemStats{
-		ArenaBytes: l.rowBytes.Load() + l.srcSetBytes,
+		ArenaBytes: l.rowBytes + l.srcSetBytes,
 		MemoBytes:  l.memoBytes(),
 	}
-	for i := range l.agg {
-		if l.agg[i].Load() != nil {
+	for _, d := range l.agg {
+		if d != nil {
 			st.ResidentRows++
 		}
 	}
@@ -587,7 +549,7 @@ func (l *Ledger) AggMemStats() AggMemStats {
 }
 
 func (l *Ledger) memoBytes() int64 {
-	m := l.memo.Load()
+	m := l.memo
 	if m == nil {
 		return 0
 	}
@@ -666,7 +628,7 @@ func (l *Ledger) Benefit(j int, a Alloc) float64 {
 		g, f := l.link(j, a)
 		return l.benefit(j, a, g, f)
 	}
-	m := l.memo.Load()
+	m := l.memo
 	if m == nil {
 		m = l.newMemo()
 	}
@@ -695,7 +657,7 @@ func (l *Ledger) Benefit(j int, a Alloc) float64 {
 // ascending, and replace the incumbent only on a strictly greater
 // benefit, so a tie keeps the current decision, then the earliest
 // candidate. It returns the best decision, its benefit and the current
-// decision's benefit. Safe for concurrent callers between Moves.
+// decision's benefit.
 func (l *Ledger) Best(j int, servers []int) (best Alloc, bestB, curB float64) {
 	cur := l.alloc[j]
 	curB = l.Benefit(j, cur)

@@ -10,7 +10,7 @@ import (
 // memoValid reports whether l's memo holds a current value for
 // Benefit(j, a).
 func memoValid(l *Ledger, j int, a Alloc) bool {
-	m := l.memo.Load()
+	m := l.memo
 	if m == nil || !a.Allocated() {
 		return false
 	}
@@ -128,7 +128,7 @@ func TestBenefitMemoMatchesTwin(t *testing.T) {
 		s := rng.New(seed * 17)
 		var hits, probes int
 		for step := 0; step < 25; step++ {
-			twin.memo.Store(nil)
+			twin.memo = nil
 			for j := 0; j < in.M(); j++ {
 				for _, a := range decisions(in, j) {
 					if memoValid(l, j, a) {
@@ -173,7 +173,7 @@ func TestMemoBytesAccounting(t *testing.T) {
 	}
 	_ = l.Benefit(j, Alloc{Server: in.Top.Coverage[j][0], Channel: 0})
 	after := l.AggMemStats()
-	m := l.memo.Load()
+	m := l.memo
 	if want := int64(8*len(m.val) + 8*len(m.valid) + 4*len(m.hint)); after.MemoBytes != want || want == 0 {
 		t.Fatalf("MemoBytes = %d, want %d", after.MemoBytes, want)
 	}

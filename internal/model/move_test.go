@@ -11,12 +11,9 @@ import (
 // a first fault-in would, and returns it without disturbing l: the
 // built row (if any) and the byte count are put back.
 func freshRow(l *Ledger, i int) *aggRowData {
-	l.aggMu.Lock()
-	defer l.aggMu.Unlock()
-	old, bytes := l.agg[i].Load(), l.rowBytes.Load()
-	d := l.buildRowLocked(i)
-	l.agg[i].Store(old)
-	l.rowBytes.Store(bytes)
+	old, bytes := l.agg[i], l.rowBytes
+	d := l.buildRow(i)
+	l.agg[i], l.rowBytes = old, bytes
 	return d
 }
 
@@ -25,7 +22,7 @@ func freshRow(l *Ledger, i int) *aggRowData {
 func requireRowsFresh(t *testing.T, l *Ledger, label string) {
 	t.Helper()
 	for i := range l.agg {
-		d := l.agg[i].Load()
+		d := l.agg[i]
 		if d == nil {
 			continue
 		}
@@ -84,7 +81,7 @@ func TestTargetedMoveRowsMatchFreshBuild(t *testing.T) {
 					continue
 				}
 				for i := range l.agg {
-					d := l.agg[i].Load()
+					d := l.agg[i]
 					if d == nil {
 						continue
 					}

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -189,4 +190,45 @@ func TestNewPicksSmallerLayout(t *testing.T) {
 	if st.Bytes*2 >= 8*int64(big.N())*int64(big.M()) {
 		t.Fatalf("CSR layout not at least 2× under the dense matrix: %d bytes, density %.3f", st.Bytes, st.Density)
 	}
+}
+
+// FuzzGainAtMatchesDense pins the sparse layout's exactness: on fuzzed
+// instances and any legal cutoff in [MaxRadius, 3·MaxRadius], GainAt
+// and GainRow(i).At(j) on NewSparse must return, for every (i, j), the
+// dense reference's value bit for bit — stored row values inside the
+// cutoff and the recomputed fallback outside it alike.
+func FuzzGainAtMatchesDense(f *testing.F) {
+	f.Add(uint64(1), uint8(0), uint8(0), uint16(0))
+	f.Add(uint64(2022), uint8(10), uint8(90), uint16(0xffff))
+	f.Add(uint64(7331), uint8(5), uint8(40), uint16(0x8000))
+	f.Fuzz(func(t *testing.T, seed uint64, n, m uint8, cut uint16) {
+		s := rng.New(seed)
+		top, err := topology.Generate(topology.DefaultGen(2+int(n)%14, 5+int(m)%120, 1.2), s.Split("top"))
+		if err != nil {
+			t.Fatalf("topology: %v", err)
+		}
+		wl, err := workload.Generate(workload.DefaultGen(2), top.N(), top.M(), s.Split("wl"))
+		if err != nil {
+			t.Fatalf("workload: %v", err)
+		}
+		rmax := top.MaxRadius()
+		cutoff := min(rmax+2*rmax*units.Meters(cut)/0xffff, 3*rmax)
+		sp, err := NewSparse(top, wl, radio.Default(), cutoff)
+		if err != nil {
+			t.Fatalf("NewSparse(cutoff %v, rmax %v): %v", cutoff, rmax, err)
+		}
+		dense := sp.Densified()
+		for i := 0; i < sp.N(); i++ {
+			row := sp.GainRow(i)
+			for j := 0; j < sp.M(); j++ {
+				want := math.Float64bits(dense.GainAt(i, j))
+				if got := math.Float64bits(sp.GainAt(i, j)); got != want {
+					t.Fatalf("cutoff %v: GainAt(%d, %d) = %x, dense %x", cutoff, i, j, got, want)
+				}
+				if got := math.Float64bits(row.At(j)); got != want {
+					t.Fatalf("cutoff %v: GainRow(%d).At(%d) = %x, dense %x", cutoff, i, j, got, want)
+				}
+			}
+		}
+	})
 }

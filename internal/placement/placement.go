@@ -13,8 +13,6 @@ package placement
 
 import (
 	"math"
-	"runtime"
-	"sync"
 
 	"idde/internal/obs"
 )
@@ -27,10 +25,8 @@ type Candidate struct {
 
 // Oracle exposes the marginal structure of a placement problem.
 // Gains must be monotone non-increasing as decisions commit
-// (submodularity) for LazyGreedy to match Greedy. When the parallel
-// seed scan is enabled (Options.Parallel), Gain, Cost and Feasible must
-// additionally be safe for concurrent invocation while no Commit is in
-// flight — true for read-only evaluators like the model latency states.
+// (submodularity) for LazyGreedy to match Greedy. The engines call
+// every method from the caller's goroutine, one call at a time.
 type Oracle interface {
 	// Gain reports the total objective reduction of committing c now.
 	Gain(c Candidate) float64
@@ -52,25 +48,9 @@ type Result struct {
 	Evaluations int
 }
 
-// DefaultParallelThreshold is the candidate count below which the
-// parallel seed scan is not worth the goroutine fan-out.
-const DefaultParallelThreshold = 512
-
-// Options tunes the greedy engines. The zero value is the historical
-// behaviour (sequential seeding); embedders replace an unset zero value
-// with DefaultOptions (see Resolve).
+// Options tunes the greedy engines. The zero value is IDDE-G's Phase 2
+// configuration.
 type Options struct {
-	// Parallel enables the concurrent LazyGreedy seed scan. The initial
-	// gains are evaluated against the empty delivery profile, so they
-	// are commit-independent; workers fan out over disjoint candidate
-	// ranges and the results are merged back in candidate order, making
-	// the seeded heap — and therefore the committed sequence —
-	// bit-identical to the sequential scan. Requires an Oracle whose
-	// read methods tolerate concurrent calls (see Oracle).
-	Parallel bool
-	// ParallelThreshold is the minimum candidate count before the
-	// parallel scan kicks in; 0 means DefaultParallelThreshold.
-	ParallelThreshold int
 	// ItemLocalGains declares that a Commit only changes the gains of
 	// candidates sharing its Item — true for both IDDE delivery oracles,
 	// whose state is partitioned by item, so Deliver always sets it
@@ -91,38 +71,7 @@ type Options struct {
 	// (when a tracer is attached), a commit-gain histogram, and the
 	// final Result cross-wired into counters. nil disables all of it;
 	// the committed sequence and Result are identical either way.
-	// Embedders that resolve a zero-value Options to defaults
-	// (core.Solve) inject the scope after resolution, mirroring
-	// game.Options.Obs.
 	Obs *obs.Scope
-	// Set marks the Options as explicitly configured, shielding an
-	// intentionally all-zero configuration from default replacement by
-	// embedders (mirrors game.Options.Set).
-	Set bool
-}
-
-// NewOptions marks o as explicitly configured.
-func NewOptions(o Options) Options {
-	o.Set = true
-	return o
-}
-
-// DefaultOptions returns the configuration used by IDDE-G's Phase 2.
-func DefaultOptions() Options {
-	return Options{Parallel: true, Set: true}
-}
-
-// Resolve replaces an unset zero-value Options with DefaultOptions,
-// under the same rules as game.Options.Resolve: Set shields an
-// explicitly all-zero configuration, and Obs is not configuration.
-func (o Options) Resolve() Options {
-	sc := o.Obs
-	o.Obs = nil
-	if o == (Options{}) {
-		o = DefaultOptions()
-	}
-	o.Obs = sc
-	return o
 }
 
 // Greedy runs the literal Algorithm 1 Phase 2 loop: every round,
@@ -190,7 +139,7 @@ func GreedyOpt(cands []Candidate, o Oracle, opt Options) Result {
 }
 
 // LazyGreedy runs the same policy with a lazy priority queue and the
-// zero-value Options (sequential seeding); see LazyGreedyOpt.
+// zero-value Options; see LazyGreedyOpt.
 func LazyGreedy(cands []Candidate, o Oracle) Result {
 	return LazyGreedyOpt(cands, o, Options{})
 }
@@ -198,13 +147,10 @@ func LazyGreedy(cands []Candidate, o Oracle) Result {
 // LazyGreedyOpt runs the Eq. 17 policy with a lazy priority queue:
 // stale upper bounds are refreshed only when a candidate reaches the
 // top. For submodular gains the output matches Greedy while evaluating
-// far fewer candidates. The seed scan — the N·K initial gain
-// evaluations against the empty profile — optionally fans out to
-// GOMAXPROCS workers (Options.Parallel); the merge happens in candidate
-// order, so the result is bit-deterministic either way.
+// far fewer candidates.
 func LazyGreedyOpt(cands []Candidate, o Oracle, opt Options) Result {
 	var res Result
-	pq := seedHeap(cands, o, opt, &res)
+	pq := seedHeap(cands, o, &res)
 	pq.init()
 	res.Chosen = make([]Candidate, 0, len(pq))
 	// With ItemLocalGains the staleness epoch is tracked per item: a
@@ -301,100 +247,23 @@ func traceCommit(sc *obs.Scope, o Oracle, res *Result, c Candidate, realized, ra
 	})
 }
 
-// seedHeap evaluates every candidate's initial gain and assembles the
-// un-heapified seed slice. With Options.Parallel and enough candidates
-// the evaluations fan out to GOMAXPROCS workers over disjoint index
-// ranges; every candidate is evaluated exactly once in both modes and
-// the merge walks ascending candidate order, so the returned slice —
-// and Result.Evaluations — are identical to the sequential scan.
-func seedHeap(cands []Candidate, o Oracle, opt Options, res *Result) lazyHeap {
-	thresh := opt.ParallelThreshold
-	if thresh <= 0 {
-		thresh = DefaultParallelThreshold
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if !opt.Parallel || len(cands) < thresh || workers < 2 {
-		pq := make(lazyHeap, 0, len(cands))
-		for idx, c := range cands {
-			if !o.Feasible(c) {
-				continue
-			}
-			g := o.Gain(c)
-			res.Evaluations++
-			if g <= 0 {
-				continue
-			}
-			pq = append(pq, lazyEntry{c: c, idx: idx, ratio: g / math.Max(o.Cost(c), 1e-12)})
-		}
-		return pq
-	}
-
-	sp, _ := seedPool.Get().(*[]seed)
-	if sp == nil {
-		sp = new([]seed)
-	}
-	seeds := *sp
-	if cap(seeds) < len(cands) {
-		seeds = make([]seed, len(cands))
-	} else {
-		// Recycled scratch: workers skip infeasible candidates, so stale
-		// entries from the previous scan must be cleared first.
-		seeds = seeds[:len(cands)]
-		clear(seeds)
-	}
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	var wg sync.WaitGroup
-	chunk := (len(cands) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, len(cands))
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for idx := lo; idx < hi; idx++ {
-				c := cands[idx]
-				if !o.Feasible(c) {
-					continue
-				}
-				g := o.Gain(c)
-				seeds[idx].evaluated = true
-				if g <= 0 {
-					continue
-				}
-				seeds[idx].positive = true
-				seeds[idx].ratio = g / math.Max(o.Cost(c), 1e-12)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+// seedHeap evaluates every candidate's initial gain in candidate order
+// and returns the un-heapified seed slice of the positive ones.
+func seedHeap(cands []Candidate, o Oracle, res *Result) lazyHeap {
 	pq := make(lazyHeap, 0, len(cands))
-	for idx := range seeds {
-		if seeds[idx].evaluated {
-			res.Evaluations++
+	for idx, c := range cands {
+		if !o.Feasible(c) {
+			continue
 		}
-		if seeds[idx].positive {
-			pq = append(pq, lazyEntry{c: cands[idx], idx: idx, ratio: seeds[idx].ratio})
+		g := o.Gain(c)
+		res.Evaluations++
+		if g <= 0 {
+			continue
 		}
+		pq = append(pq, lazyEntry{c: c, idx: idx, ratio: g / math.Max(o.Cost(c), 1e-12)})
 	}
-	*sp = seeds
-	seedPool.Put(sp)
 	return pq
 }
-
-// seed is one parallel seed-scan result slot; the slices live in
-// seedPool so repeated solves reuse one scratch buffer.
-type seed struct {
-	ratio     float64
-	evaluated bool
-	positive  bool
-}
-
-var seedPool sync.Pool
 
 type lazyEntry struct {
 	c     Candidate

@@ -3,10 +3,8 @@ package placement
 import (
 	"math"
 	"reflect"
-	"runtime"
 	"testing"
 
-	"idde/internal/obs"
 	"idde/internal/rng"
 )
 
@@ -280,30 +278,6 @@ func TestGreedyTieBreakSurvivesSwapRemove(t *testing.T) {
 	}
 }
 
-// TestParallelSeedScanBitIdentical pins the determinism contract of the
-// parallel seed scan: with the fan-out forced on (threshold 1 and
-// several workers), LazyGreedyOpt must produce the same committed
-// sequence, total gain and evaluation count as the sequential scan.
-func TestParallelSeedScanBitIdentical(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4) // force a real fan-out even on 1 CPU
-	defer runtime.GOMAXPROCS(prev)
-	for seed := uint64(1); seed <= 10; seed++ {
-		oa, cands := randomOracle(seed*13, 7, 5, 120)
-		ob := clone(oa)
-		seq := LazyGreedyOpt(cands, oa, Options{})
-		par := LazyGreedyOpt(cands, ob, Options{Parallel: true, ParallelThreshold: 1, Set: true})
-		if !reflect.DeepEqual(seq.Chosen, par.Chosen) {
-			t.Fatalf("seed %d: parallel seeding changed the sequence:\nseq %v\npar %v", seed, seq.Chosen, par.Chosen)
-		}
-		if seq.TotalGain != par.TotalGain {
-			t.Fatalf("seed %d: gains diverge: %v vs %v", seed, seq.TotalGain, par.TotalGain)
-		}
-		if seq.Evaluations != par.Evaluations {
-			t.Fatalf("seed %d: evaluation counts diverge: %d vs %d", seed, seq.Evaluations, par.Evaluations)
-		}
-	}
-}
-
 // TestItemLocalGainsSkipsOnlyUnchangedRefreshes pins the per-item
 // staleness epochs on an item-partitioned oracle (coverOracle's gain for
 // item k reads only item k's requests and replicas): LazyGreedyOpt with
@@ -325,31 +299,6 @@ func TestItemLocalGainsSkipsOnlyUnchangedRefreshes(t *testing.T) {
 		if local.Evaluations >= global.Evaluations {
 			t.Fatalf("seed %d: per-item epochs saved no evaluations: %d vs %d",
 				seed, local.Evaluations, global.Evaluations)
-		}
-	}
-}
-
-// TestOptionsResolve pins the embedders' resolution rules: an unset zero
-// value becomes DefaultOptions, a telemetry scope alone does not count
-// as configuration, and explicitly configured options — all-zero ones
-// carrying Set included — pass through verbatim.
-func TestOptionsResolve(t *testing.T) {
-	if got := (Options{}).Resolve(); got != DefaultOptions() {
-		t.Fatalf("zero value resolved to %+v, want DefaultOptions", got)
-	}
-	sc := obs.New()
-	want := DefaultOptions()
-	want.Obs = sc
-	if got := (Options{Obs: sc}).Resolve(); got != want {
-		t.Fatalf("scope-only options resolved to %+v, want defaults carrying the scope", got)
-	}
-	for _, o := range []Options{
-		NewOptions(Options{}),
-		{MaxCommits: 3},
-		{Parallel: true, ParallelThreshold: 7},
-	} {
-		if got := o.Resolve(); got != o {
-			t.Fatalf("configured options %+v resolved to %+v", o, got)
 		}
 	}
 }

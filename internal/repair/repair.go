@@ -267,7 +267,7 @@ func RepairDegraded(ref, degraded *model.Instance, st model.Strategy, opt Option
 
 	// Phase B: rebuild the delivery profile — survivors keep their
 	// slots, the greedy re-places into what storage remains, with the
-	// zero engine Options (sequential seed scan). survivors is non-nil
+	// zero engine Options. survivors is non-nil
 	// even when every server is down: a nil Servers list would propose
 	// every server.
 	delivery := model.NewDelivery(degraded.N(), degraded.K())

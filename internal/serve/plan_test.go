@@ -305,7 +305,7 @@ func BenchmarkNewPlan(b *testing.B) {
 					alloc[j] = model.Alloc{Server: cov[j%len(cov)], Channel: 0}
 				}
 			}
-			d, _ := core.SolveDelivery(in, alloc, false)
+			d, _ := core.SolveDeliveryOpt(in, alloc, core.Options{})
 			st := model.Strategy{Alloc: alloc, Delivery: d, Mode: model.Collaborative}
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -24,10 +24,12 @@ import (
 // Config.HaloRounds when boundary quality matters more than wall time.
 const DefaultHaloRounds = 2
 
-// Config tunes the sharded solver. Game and Placement follow the same
-// resolution rules as core.Options: a zero value (ignoring Obs) is
-// replaced by the engine defaults, an explicitly configured all-zero
-// value carries Set and passes through.
+// Config tunes the sharded solver. Game follows the same resolution
+// rules as core.Options.Game: a zero value (ignoring Obs) is replaced by
+// game.DefaultOptions, an explicitly configured all-zero value carries
+// Set and passes through. Placement is used as given. Each tile game
+// and each Phase 2 run executes on one goroutine; the tile workers
+// (Workers) are the solver's only parallelism.
 type Config struct {
 	// Tiles is the target tile count (values < 1 mean 1; capped at N).
 	Tiles int
@@ -305,7 +307,6 @@ func Views(in *model.Instance, tiles int) []*model.Instance {
 // Solve runs the sharded two-phase solver.
 func Solve(in *model.Instance, cfg Config) *Result {
 	cfg.Game = cfg.Game.Resolve()
-	cfg.Placement = cfg.Placement.Resolve()
 	sc := cfg.Obs
 	workers := cfg.Workers
 	if workers <= 0 {

@@ -8,15 +8,13 @@ import (
 	"idde/internal/core"
 	"idde/internal/experiment"
 	"idde/internal/model"
-	"idde/internal/placement"
 	"idde/internal/units"
 )
 
 // The end-to-end differential suite for the large-N memory work: the
-// cohort Phase 2 oracle's deferred folds and the worker-pool scans must
-// reproduce the default single-core results exactly — not
-// approximately — across allocation, replica sequence and every
-// reported stat.
+// cohort Phase 2 oracle's deferred folds must reproduce the reference
+// results exactly — not approximately — across allocation, replica
+// sequence and every reported stat, at every GOMAXPROCS.
 
 // deepenBudgets raises every server's storage capacity to at least
 // eight mean item sizes, the regime where the greedy loop commits many
@@ -38,10 +36,8 @@ func deepenBudgets(in *model.Instance) {
 
 // TestDeliveryBatchOracleOnDeepBudgets pins the cohort oracle's
 // Commit batching on deep-budget instances (storage ≥ 8× mean item
-// size): all five oracle×engine combinations — including the cohort
-// oracle with and without the parallel seed scan — must commit the
-// identical replica sequence, delivery profile and bit-identical total
-// gain.
+// size): all four oracle×engine combinations must commit the identical
+// replica sequence, delivery profile and bit-identical total gain.
 func TestDeliveryBatchOracleOnDeepBudgets(t *testing.T) {
 	for _, seed := range []uint64{5, 21, 2022} {
 		in, err := experiment.BuildInstance(experiment.Params{N: 15, M: 200, K: 6, Density: 1.0}, seed)
@@ -80,21 +76,19 @@ func fingerprint(res *core.Result) solveFingerprint {
 	}
 }
 
-// TestSolveGomaxprocsInvariance pins the parallel scans' determinism:
-// the dirty-set best-response scan (worker pool) and the parallel CELF
-// seed scan chunk by index and merge in index order, so the full solve
-// — equilibrium allocation, game stats, replica sequence and every
-// objective — must be exactly identical under GOMAXPROCS ∈ {1, 2, 8}.
+// TestSolveGomaxprocsInvariance pins the global solve's independence
+// of the worker count: both phases run on the solving goroutine, so the
+// full solve — equilibrium allocation, game stats, replica sequence and
+// every objective — must be exactly identical under GOMAXPROCS ∈
+// {1, 2, 8}. The instance build (the CSR gain rows) and the sharded
+// solver's tile workers do depend on GOMAXPROCS; this sweep is the
+// global path's guard should a fan-out return.
 func TestSolveGomaxprocsInvariance(t *testing.T) {
 	in, err := experiment.BuildInstance(experiment.Params{N: 20, M: 240, K: 6, Density: 1.0}, 2022)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt := core.DefaultOptions()
-	// Drop both parallel thresholds to 1 so the scans fan out even at
-	// this test scale (and even for single-player dirty rounds).
-	opt.Game.ParallelThreshold = 1
-	opt.Placement = placement.NewOptions(placement.Options{Parallel: true, ParallelThreshold: 1})
 
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)

@@ -155,8 +155,8 @@ func TestPlacementLazyMatchesGreedyAtScale(t *testing.T) {
 	}
 	alloc, _ := core.SolvePhase1(in, core.DefaultOptions())
 
-	dLazy, resLazy := core.SolveDelivery(in, alloc, false)
-	dNaive, resNaive := core.SolveDelivery(in, alloc, true)
+	dLazy, resLazy := core.SolveDeliveryOpt(in, alloc, core.Options{})
+	dNaive, resNaive := core.SolveDeliveryOpt(in, alloc, core.Options{NaiveGreedy: true})
 
 	if !reflect.DeepEqual(resLazy.Chosen, resNaive.Chosen) {
 		t.Fatalf("lazy and naive greedy chose different replica sequences:\nlazy  %v\nnaive %v",

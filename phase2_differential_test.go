@@ -18,30 +18,25 @@ import (
 )
 
 // The end-to-end differential suite for the Phase 2 performance work:
-// the cohort-aggregated oracle, the swap-remove Greedy and the parallel
-// seed scan must all commit the replica sequence the literal
-// per-request reference commits, so every figure CSV is unchanged by
-// the optimization.
+// the cohort-aggregated oracle and the swap-remove Greedy must both
+// commit the replica sequence the literal per-request reference
+// commits, so every figure CSV is unchanged by the optimization.
 
-// deliveryCombos runs Phase 2 on five oracle×engine combinations:
-// optimized (cohort + parallel-seeded CELF), cohort + sequentially
-// seeded CELF, cohort + literal re-scan, naive oracle + sequential CELF,
-// and the full reference (naive oracle + literal re-scan).
+// deliveryCombos runs Phase 2 on four oracle×engine combinations:
+// optimized (cohort + CELF), cohort + literal re-scan, naive oracle +
+// CELF, and the full reference (naive oracle + literal re-scan).
 func deliveryCombos(in *model.Instance, alloc model.Allocation) []struct {
 	name string
 	d    *model.Delivery
 	res  placement.Result
 } {
-	seq := placement.NewOptions(placement.Options{})
-	par := placement.NewOptions(placement.Options{Parallel: true, ParallelThreshold: 1})
 	combos := []struct {
 		name string
 		opt  core.Options
 	}{
-		{"cohort+lazy-parallel", core.Options{Placement: par}},
-		{"cohort+lazy", core.Options{Placement: seq}},
+		{"cohort+lazy", core.Options{}},
 		{"cohort+naive-greedy", core.Options{NaiveGreedy: true}},
-		{"naive-oracle+lazy", core.Options{NaiveLatency: true, Placement: seq}},
+		{"naive-oracle+lazy", core.Options{NaiveLatency: true}},
 		{"reference", core.Options{NaiveLatency: true, NaiveGreedy: true}},
 	}
 	out := make([]struct {

@@ -91,8 +91,8 @@ func TestShardedSolveMultiTileValidAndDeterministic(t *testing.T) {
 
 // TestShardedSolveGomaxprocsInvariance pins the worker-count
 // independence of a 4-tile solve: tile workers write disjoint slots
-// merged in tile order, the tile games' internal scans merge in index
-// order, and the halo exchange is sequential in tile order — so the
+// merged in tile order, each tile game runs on its worker's goroutine,
+// and the halo exchange is sequential in tile order — so the
 // full fingerprint plus the shard stats must be identical under
 // GOMAXPROCS ∈ {1, 2, 8}.
 func TestShardedSolveGomaxprocsInvariance(t *testing.T) {
@@ -102,7 +102,6 @@ func TestShardedSolveGomaxprocsInvariance(t *testing.T) {
 	}
 	opt := core.DefaultOptions()
 	opt.Shards = 4
-	opt.Game.ParallelThreshold = 1
 
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
