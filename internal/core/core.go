@@ -30,9 +30,8 @@ import (
 // Options tunes IDDE-G.
 type Options struct {
 	// Game configures the Phase 1 best-response dynamics, which run on
-	// the solving goroutine. The zero value is replaced by
-	// game.DefaultOptions(); an intentionally all-zero configuration
-	// must carry game.Options.Set (see game.NewOptions) to be preserved.
+	// the solving goroutine. A zero value (ignoring Obs) is replaced by
+	// game.DefaultOptions() (see game.Options.Resolve).
 	Game game.Options
 	// NaiveGreedy switches Phase 2 from the lazy (CELF) evaluator to
 	// the literal re-scan-everything loop of Algorithm 1; the output is
@@ -69,14 +68,6 @@ type Options struct {
 	// solving goroutine. It is used as given: its zero value is IDDE-G's
 	// Phase 2 configuration.
 	Placement placement.Options
-	// DenseInstance solves on the dense-materialized sibling of the
-	// instance (model.Instance.Densified): every gain read hits an N×M
-	// matrix instead of the CSR rows. The arithmetic is identical — the
-	// sparse layout recomputes out-of-support gains exactly — so results
-	// are bit-identical; this is the reference mode the sparse-vs-dense
-	// differential suite pins, and a memory-for-speed escape hatch on
-	// small instances.
-	DenseInstance bool
 	// NoSweepSkip disables the sharded halo-exchange's clean-tile skip
 	// (shard.Config.NoSweepSkip). Ignored when Shards is 0.
 	NoSweepSkip bool
@@ -166,9 +157,6 @@ type Result struct {
 // with the dynamics stats. Tests and benches use it to check and time
 // Phase 1 without Phase 2; Solve goes through the same path.
 func SolvePhase1(in *model.Instance, opt Options) (model.Allocation, game.Stats) {
-	if opt.DenseInstance {
-		in = in.Densified()
-	}
 	ledger, st := runPhase1(in, opt)
 	return ledger.Alloc(), st
 }
@@ -229,9 +217,6 @@ func publishAggStats(sc *obs.Scope, l *model.Ledger) {
 
 // Solve runs IDDE-G on the instance.
 func Solve(in *model.Instance, opt Options) *Result {
-	if opt.DenseInstance {
-		in = in.Densified()
-	}
 	if opt.Shards > 0 {
 		return solveSharded(in, opt)
 	}

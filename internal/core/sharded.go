@@ -9,8 +9,8 @@ import (
 // the Options surface onto shard.Config and the shard.Result back onto
 // the core Result. The option resolution (zero-value Game → defaults,
 // Obs injection) happens inside shard.Solve with the same rules as the
-// global path, so an explicit all-zero Game configuration behaves
-// identically under both solvers.
+// global path, so a Game configuration behaves identically under both
+// solvers.
 func solveSharded(in *model.Instance, opt Options) *Result {
 	sc := scopeOf(opt)
 	g := opt.Game

@@ -1,34 +1,18 @@
 package des
 
 import (
-	"fmt"
-	"math"
-	"sort"
-
-	"idde/internal/model"
 	"idde/internal/rng"
 	"idde/internal/units"
 )
 
-// ArrivalModel generates request arrival times for a simulation run —
-// the temporal dimension the analytic Eq. 9 abstracts away. Uniform is
-// the spread used by SimulateStrategy; Poisson and Diurnal model open
-// workloads and daily load swings.
-type ArrivalModel interface {
-	// Times draws n arrival offsets (seconds ≥ 0), unsorted.
-	Times(n int, s *rng.Stream) []units.Seconds
-	// Name labels the model in reports.
-	Name() string
-}
-
-// Uniform spreads arrivals evenly over a window; Window 0 degenerates
-// to a synchronized burst.
+// Uniform spreads request arrivals evenly over a window — the temporal
+// dimension the analytic Eq. 9 abstracts away; Window 0 degenerates to
+// a synchronized burst.
 type Uniform struct {
 	Window units.Seconds
 }
 
-func (u Uniform) Name() string { return fmt.Sprintf("uniform(%v)", u.Window) }
-
+// Times draws n arrival offsets (seconds ≥ 0), unsorted.
 func (u Uniform) Times(n int, s *rng.Stream) []units.Seconds {
 	out := make([]units.Seconds, n)
 	if u.Window <= 0 {
@@ -37,89 +21,5 @@ func (u Uniform) Times(n int, s *rng.Stream) []units.Seconds {
 	for i := range out {
 		out[i] = units.Seconds(s.Uniform(0, float64(u.Window)))
 	}
-	return out
-}
-
-// Poisson draws arrivals from a homogeneous Poisson process with the
-// given mean rate (requests per second); the window is implied by n/λ.
-type Poisson struct {
-	RatePerSec float64
-}
-
-func (p Poisson) Name() string { return fmt.Sprintf("poisson(%.3g/s)", p.RatePerSec) }
-
-func (p Poisson) Times(n int, s *rng.Stream) []units.Seconds {
-	out := make([]units.Seconds, n)
-	if p.RatePerSec <= 0 {
-		return out
-	}
-	t := 0.0
-	for i := range out {
-		t += s.Exp(1 / p.RatePerSec)
-		out[i] = units.Seconds(t)
-	}
-	// Arrival order should not correlate with request index.
-	s.Shuffle(n, func(i, j int) { out[i], out[j] = out[j], out[i] })
-	return out
-}
-
-// Diurnal modulates a Poisson process with a sinusoidal daily profile:
-// rate(t) = base·(1 + Amplitude·sin(2πt/day − phase)), thinned from the
-// peak rate. Window is the covered span.
-type Diurnal struct {
-	BasePerSec float64
-	Amplitude  float64 // in [0,1)
-	Window     units.Seconds
-}
-
-func (d Diurnal) Name() string {
-	return fmt.Sprintf("diurnal(%.3g/s ±%.0f%%)", d.BasePerSec, d.Amplitude*100)
-}
-
-const daySeconds = 24 * 3600.0
-
-// Times uses thinning: candidates from the peak-rate process are kept
-// with probability rate(t)/peak.
-func (d Diurnal) Times(n int, s *rng.Stream) []units.Seconds {
-	out := make([]units.Seconds, 0, n)
-	if d.BasePerSec <= 0 || d.Window <= 0 {
-		return make([]units.Seconds, n)
-	}
-	amp := d.Amplitude
-	if amp < 0 {
-		amp = 0
-	}
-	if amp >= 1 {
-		amp = 0.999
-	}
-	peak := d.BasePerSec * (1 + amp)
-	t := 0.0
-	for len(out) < n {
-		t += s.Exp(1 / peak)
-		if t > float64(d.Window) {
-			t = math.Mod(t, float64(d.Window)) // wrap: keep density profile
-		}
-		rate := d.BasePerSec * (1 + amp*math.Sin(2*math.Pi*t/daySeconds))
-		if s.Float64() < rate/peak {
-			out = append(out, units.Seconds(t))
-		}
-	}
-	s.Shuffle(n, func(i, j int) { out[i], out[j] = out[j], out[i] })
-	return out
-}
-
-// SimulateWithArrivals runs SimulateStrategy's transfer execution with
-// arrival offsets drawn from the model instead of a uniform window.
-// See SimulateStrategy for the delivery semantics.
-func SimulateWithArrivals(in *model.Instance, st model.Strategy, am ArrivalModel, s *rng.Stream) *Report {
-	arr := am.Times(countRequests(in), s.Split("arrivals"))
-	return simulate(in, st, arr, s.Split("order"), nil, nil)
-}
-
-// sortedCopy returns the arrival times ascending (test helper exported
-// for the des tests).
-func sortedCopy(ts []units.Seconds) []units.Seconds {
-	out := append([]units.Seconds(nil), ts...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

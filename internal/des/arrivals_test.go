@@ -1,12 +1,9 @@
 package des
 
 import (
-	"math"
 	"testing"
 
-	"idde/internal/core"
 	"idde/internal/rng"
-	"idde/internal/units"
 )
 
 func TestUniformArrivals(t *testing.T) {
@@ -20,101 +17,10 @@ func TestUniformArrivals(t *testing.T) {
 			t.Fatalf("arrival %v outside window", v)
 		}
 	}
-	if u.Name() == "" {
-		t.Error("empty name")
-	}
 	// Zero window: synchronized burst.
 	for _, v := range (Uniform{}).Times(10, rng.New(2)) {
 		if v != 0 {
 			t.Fatal("zero-window arrival not at 0")
 		}
-	}
-}
-
-func TestPoissonArrivals(t *testing.T) {
-	p := Poisson{RatePerSec: 50}
-	ts := p.Times(5000, rng.New(3))
-	sorted := sortedCopy(ts)
-	// Mean inter-arrival ≈ 1/λ.
-	gaps := 0.0
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i] < sorted[i-1] {
-			t.Fatal("sortedCopy not sorted")
-		}
-		gaps += float64(sorted[i] - sorted[i-1])
-	}
-	mean := gaps / float64(len(sorted)-1)
-	if math.Abs(mean-1.0/50) > 0.002 {
-		t.Errorf("mean inter-arrival = %v, want ≈0.02", mean)
-	}
-	// Degenerate rate yields a burst.
-	for _, v := range (Poisson{}).Times(5, rng.New(4)) {
-		if v != 0 {
-			t.Fatal("zero-rate arrival not at 0")
-		}
-	}
-	if p.Name() == "" {
-		t.Error("empty name")
-	}
-}
-
-func TestDiurnalArrivalsShape(t *testing.T) {
-	d := Diurnal{BasePerSec: 1, Amplitude: 0.9, Window: units.Seconds(daySeconds)}
-	ts := d.Times(20000, rng.New(5))
-	if len(ts) != 20000 {
-		t.Fatalf("n = %d", len(ts))
-	}
-	// Bucket arrivals by 6-hour bins: the peak (around hour 6, where
-	// sin is maximal) must exceed the trough (around hour 18).
-	var bins [4]int
-	for _, v := range ts {
-		if v < 0 || float64(v) > daySeconds {
-			t.Fatalf("arrival %v outside window", v)
-		}
-		bins[int(float64(v)/daySeconds*4)%4]++
-	}
-	if bins[0]+bins[1] <= bins[2]+bins[3] {
-		t.Errorf("diurnal profile flat or inverted: %v", bins)
-	}
-	if d.Name() == "" {
-		t.Error("empty name")
-	}
-	// Degenerate config yields a burst of the right length.
-	if got := (Diurnal{}).Times(7, rng.New(6)); len(got) != 7 {
-		t.Fatalf("degenerate diurnal n = %d", len(got))
-	}
-}
-
-func TestDiurnalAmplitudeClamped(t *testing.T) {
-	d := Diurnal{BasePerSec: 5, Amplitude: 3, Window: 1000}
-	ts := d.Times(500, rng.New(7))
-	if len(ts) != 500 {
-		t.Fatalf("n = %d", len(ts))
-	}
-}
-
-func TestSimulateWithArrivalsMatchesUniform(t *testing.T) {
-	in := genInstance(t, 12, 60, 4, 31)
-	st := core.Solve(in, core.DefaultOptions()).Strategy
-	// A very slow Poisson process (huge gaps) behaves like the
-	// uncontended uniform run: measured == analytic.
-	rep := SimulateWithArrivals(in, st, Poisson{RatePerSec: 1e-4}, rng.New(8))
-	if math.Abs(float64(rep.Avg-rep.AnalyticAvg)) > 1e-9 {
-		t.Errorf("slow Poisson avg %v != analytic %v", rep.Avg, rep.AnalyticAvg)
-	}
-	// A very fast process behaves like a burst: only worse.
-	fast := SimulateWithArrivals(in, st, Poisson{RatePerSec: 1e9}, rng.New(9))
-	if fast.Avg < fast.AnalyticAvg-1e-12 {
-		t.Errorf("fast Poisson avg %v beat analytic %v", fast.Avg, fast.AnalyticAvg)
-	}
-}
-
-func TestSimulateWithArrivalsDeterministic(t *testing.T) {
-	in := genInstance(t, 10, 50, 3, 32)
-	st := core.Solve(in, core.DefaultOptions()).Strategy
-	a := SimulateWithArrivals(in, st, Poisson{RatePerSec: 100}, rng.New(10))
-	b := SimulateWithArrivals(in, st, Poisson{RatePerSec: 100}, rng.New(10))
-	if a.Avg != b.Avg {
-		t.Error("arrival-model simulation not deterministic")
 	}
 }

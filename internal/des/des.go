@@ -83,8 +83,6 @@ func (h *eventHeap) Pop() interface{} {
 type Resource struct {
 	Rate      units.Rate
 	busyUntil units.Seconds
-	served    int
-	busyTime  units.Seconds
 }
 
 // Acquire reserves the resource for moving size bytes starting no
@@ -96,13 +94,5 @@ func (r *Resource) Acquire(at units.Seconds, size units.MegaBytes) units.Seconds
 	}
 	d := units.TransferTime(size, r.Rate)
 	r.busyUntil = start + d
-	r.served++
-	r.busyTime += d
 	return r.busyUntil
 }
-
-// Served reports the number of transfers processed.
-func (r *Resource) Served() int { return r.served }
-
-// BusyTime reports the cumulative service time.
-func (r *Resource) BusyTime() units.Seconds { return r.busyTime }

@@ -77,12 +77,6 @@ func TestResourceFIFO(t *testing.T) {
 	if done := r.Acquire(2.0, 100); done != 3.0 {
 		t.Errorf("idle-start done = %v", done)
 	}
-	if r.Served() != 3 {
-		t.Errorf("served = %d", r.Served())
-	}
-	if math.Abs(float64(r.BusyTime())-2.0) > 1e-12 {
-		t.Errorf("busy time = %v", r.BusyTime())
-	}
 }
 
 func TestResourceZeroRate(t *testing.T) {

@@ -44,15 +44,11 @@ func TestTwentyPercentLossDegradesGracefully(t *testing.T) {
 	if float64(fau.Avg) < float64(rel.Avg)-1e-9 {
 		t.Errorf("lossy avg %v below reliable avg %v", fau.Avg, rel.Avg)
 	}
+	// Every request completed with a finite latency.
 	for i, l := range fau.PerRequest {
 		if math.IsInf(float64(l), 0) || math.IsNaN(float64(l)) || l < 0 {
 			t.Fatalf("request %d has degenerate latency %v", i, l)
 		}
-	}
-	// Every request completed: the makespan is finite and the event
-	// count is bounded.
-	if math.IsInf(float64(fau.Makespan()), 0) {
-		t.Error("lossy run never completed")
 	}
 }
 

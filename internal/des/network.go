@@ -66,71 +66,8 @@ type Report struct {
 	CloudFallbacks int
 	// Stalls counts hop attempts that hit a stall.
 	Stalls int
-	// net retains the contention state for utilization queries.
-	net *Network
 	// makespan is the completion time of the last transfer.
 	makespan units.Seconds
-}
-
-// LinkUtilization summarizes one wired link's contention.
-type LinkUtilization struct {
-	U, V     int
-	Served   int
-	BusyTime units.Seconds
-	// Utilization is BusyTime over the run's makespan (0 for an idle
-	// run).
-	Utilization float64
-}
-
-// Makespan reports when the last transfer completed.
-func (rep *Report) Makespan() units.Seconds { return rep.makespan }
-
-// LinkUtilizations reports per-link contention, busiest first. Links
-// that served nothing are included with zero counts so capacity
-// planning can spot dead links.
-func (rep *Report) LinkUtilizations() []LinkUtilization {
-	if rep.net == nil {
-		return nil
-	}
-	var out []LinkUtilization
-	for key, res := range rep.net.links {
-		lu := LinkUtilization{U: key[0], V: key[1], Served: res.Served(), BusyTime: res.BusyTime()}
-		if rep.makespan > 0 {
-			lu.Utilization = float64(res.BusyTime()) / float64(rep.makespan)
-		}
-		out = append(out, lu)
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].BusyTime != out[b].BusyTime {
-			return out[a].BusyTime > out[b].BusyTime
-		}
-		if out[a].U != out[b].U {
-			return out[a].U < out[b].U
-		}
-		return out[a].V < out[b].V
-	})
-	return out
-}
-
-// CloudUtilizations reports per-server cloud-ingress contention, in
-// server order.
-func (rep *Report) CloudUtilizations() []LinkUtilization {
-	if rep.net == nil {
-		return nil
-	}
-	out := make([]LinkUtilization, len(rep.net.cloud))
-	for i, res := range rep.net.cloud {
-		out[i] = LinkUtilization{U: -1, V: i, Served: res.Served(), BusyTime: res.BusyTime()}
-		if rep.makespan > 0 {
-			out[i].Utilization = float64(res.BusyTime()) / float64(rep.makespan)
-		}
-	}
-	return out
-}
-
-// countRequests reports the workload's total request count.
-func countRequests(in *model.Instance) int {
-	return in.Wl.TotalRequests()
 }
 
 // SimulateStrategy runs every request of the workload as a
@@ -159,7 +96,7 @@ type SimOptions struct {
 // SimulateStrategyOpt is SimulateStrategy/SimulateStrategyFaulty behind
 // one options surface, with optional telemetry.
 func SimulateStrategyOpt(in *model.Instance, st model.Strategy, opt SimOptions, s *rng.Stream) *Report {
-	arrivals := Uniform{Window: opt.Spread}.Times(countRequests(in), s.Split("arrivals"))
+	arrivals := Uniform{Window: opt.Spread}.Times(in.Wl.TotalRequests(), s.Split("arrivals"))
 	var f *Faults
 	var fs *rng.Stream
 	if opt.Faults != nil {
@@ -285,7 +222,6 @@ func simulate(in *model.Instance, st model.Strategy, arrivals []units.Seconds, s
 		})
 	}
 	rep.makespan = sim.Run()
-	rep.net = net
 	var total float64
 	for _, l := range rep.PerRequest {
 		total += float64(l)

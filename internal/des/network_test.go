@@ -123,45 +123,6 @@ func TestNonCollaborativeModesBypassWiredNetwork(t *testing.T) {
 	}
 }
 
-func TestUtilizationAccounting(t *testing.T) {
-	in := genInstance(t, 12, 100, 4, 11)
-	st := core.Solve(in, core.DefaultOptions()).Strategy
-	rep := SimulateStrategy(in, st, 0, rng.New(12))
-	if rep.Makespan() <= 0 {
-		t.Fatal("zero makespan on a busy run")
-	}
-	lus := rep.LinkUtilizations()
-	if len(lus) != in.Top.Net.M() {
-		t.Fatalf("link rows = %d, want %d", len(lus), in.Top.Net.M())
-	}
-	// Sorted busiest-first; utilization within [0,1] (a FIFO link can
-	// never be busy longer than the makespan).
-	for i, lu := range lus {
-		if i > 0 && lu.BusyTime > lus[i-1].BusyTime {
-			t.Fatal("links not sorted by busy time")
-		}
-		if lu.Utilization < 0 || lu.Utilization > 1+1e-9 {
-			t.Fatalf("utilization %v out of range", lu.Utilization)
-		}
-		if lu.Served == 0 && lu.BusyTime != 0 {
-			t.Fatal("idle link with busy time")
-		}
-	}
-	// Cloud rows cover every server; total served across links+cloud
-	// must at least cover cloud requests.
-	cloud := rep.CloudUtilizations()
-	if len(cloud) != in.N() {
-		t.Fatalf("cloud rows = %d", len(cloud))
-	}
-	servedCloud := 0
-	for _, cu := range cloud {
-		servedCloud += cu.Served
-	}
-	if servedCloud != rep.CloudRequests {
-		t.Errorf("cloud served %d != cloud requests %d", servedCloud, rep.CloudRequests)
-	}
-}
-
 func TestSimulationDeterministic(t *testing.T) {
 	in := genInstance(t, 12, 60, 4, 9)
 	st := core.Solve(in, core.DefaultOptions()).Strategy

@@ -167,10 +167,6 @@ func TestFormatters(t *testing.T) {
 	if got := len(strings.Split(lines[1], ",")); got != 6 {
 		t.Errorf("csv columns = %d", got)
 	}
-	ciTable := sr.MarkdownTableCI(RateMetric)
-	if !strings.Contains(ciTable, "±") || !strings.Contains(ciTable, "95% CI") {
-		t.Errorf("CI table missing interval markers:\n%s", ciTable)
-	}
 	xs, labels, ys := sr.SeriesFor(LatencyMetric)
 	if len(xs) != 2 || len(labels) != 5 || len(ys) != 5 || len(ys[0]) != 2 {
 		t.Errorf("SeriesFor shape wrong: %d/%d/%d", len(xs), len(labels), len(ys))

@@ -98,42 +98,6 @@ func (sr *SetResult) MarkdownTable(m Metric) string {
 	return b.String()
 }
 
-// MarkdownTableCI renders one figure panel with 95% confidence
-// half-widths (mean ±ci), making run-to-run variability visible.
-func (sr *SetResult) MarkdownTableCI(m Metric) string {
-	aps := sr.Approaches()
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s vs %s (Set #%d, %d reps, mean ±95%% CI)\n\n", m, sr.Set.Vary, sr.Set.ID, sr.Config.Reps)
-	fmt.Fprintf(&b, "| %s |", sr.Set.Vary)
-	for _, ap := range aps {
-		fmt.Fprintf(&b, " %s |", ap)
-	}
-	b.WriteString("\n|---|")
-	for range aps {
-		b.WriteString("---|")
-	}
-	b.WriteString("\n")
-	ci := func(mm Metrics) float64 {
-		switch m {
-		case RateMetric:
-			return mm.Rate.CI95
-		case LatencyMetric:
-			return mm.LatencyMs.CI95
-		default:
-			return mm.TimeSec.CI95
-		}
-	}
-	for _, pt := range sr.Points {
-		fmt.Fprintf(&b, "| %g |", pt.X)
-		for _, ap := range aps {
-			mm := pt.ByApproach[ap]
-			fmt.Fprintf(&b, " %.2f ±%.2f |", m.value(mm), ci(mm))
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
-}
-
 // CSV renders one figure panel as comma-separated series with a header,
 // ready for plotting.
 func (sr *SetResult) CSV(m Metric) string {

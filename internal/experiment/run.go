@@ -254,27 +254,3 @@ func runRep(set Set, cfg Config, xi, rep int) ([]measurement, error) {
 	}
 	return ms, nil
 }
-
-// RunAll executes every Table 2 set.
-func RunAll(cfg Config) ([]*SetResult, error) {
-	return RunAllCtx(context.Background(), cfg)
-}
-
-// RunAllCtx is RunAll under a context. On cancellation it returns the
-// sets completed so far — the cancelled set included, partially
-// aggregated — together with ctx.Err().
-func RunAllCtx(ctx context.Context, cfg Config) ([]*SetResult, error) {
-	var out []*SetResult
-	for _, set := range Sets() {
-		sr, err := RunSetCtx(ctx, set, cfg)
-		if err != nil {
-			if ctx.Err() != nil && sr != nil {
-				out = append(out, sr)
-				return out, ctx.Err()
-			}
-			return nil, err
-		}
-		out = append(out, sr)
-	}
-	return out, nil
-}

@@ -200,16 +200,3 @@ func TestDirtySetMatchesUnderKnobs(t *testing.T) {
 		}
 	}
 }
-
-// TestOptionsSetMarker covers the Set plumbing embedders rely on.
-func TestOptionsSetMarker(t *testing.T) {
-	if !DefaultOptions().Set {
-		t.Fatal("DefaultOptions must carry Set so embedders preserve it")
-	}
-	if !NewOptions(Options{}).Set {
-		t.Fatal("NewOptions must mark the options as explicitly configured")
-	}
-	if (Options{}).Set {
-		t.Fatal("zero-value Options must not claim to be configured")
-	}
-}

@@ -140,7 +140,7 @@ type Options struct {
 	// cost of one branch per round; the commit sequence and Stats are
 	// identical either way. Embedders that resolve a zero-value Options
 	// to defaults (core.Solve) inject the scope after resolution, so
-	// setting only Obs does not count as "explicitly configured".
+	// setting only Obs still resolves to the defaults.
 	Obs *obs.Scope
 	// FullScan forces the literal Algorithm 1 re-evaluation of every
 	// player each round even when the adapter is Localized. The commit
@@ -149,31 +149,19 @@ type Options struct {
 	// unchanged proposals); only wall-clock and Evaluations differ.
 	// This is the reference mode for differential tests and baselines.
 	FullScan bool
-	// Set marks the Options as explicitly configured. Embedders (e.g.
-	// core.Solve) replace a zero-value Options with their defaults; an
-	// intentionally all-zero configuration — winner-takes-all with
-	// Epsilon 0 and no caps — must carry Set (use NewOptions) to
-	// survive that replacement.
-	Set bool
-}
-
-// NewOptions marks o as explicitly configured, shielding all-zero
-// configurations from default replacement by embedders.
-func NewOptions(o Options) Options {
-	o.Set = true
-	return o
 }
 
 // DefaultOptions returns the engine configuration used by IDDE-G.
 func DefaultOptions() Options {
-	return Options{Policy: WinnerTakesAll, Epsilon: 1e-12, PerPlayerCap: 16, Set: true}
+	return Options{Policy: WinnerTakesAll, Epsilon: 1e-12, PerPlayerCap: 16}
 }
 
-// Resolve replaces an unset zero-value Options with DefaultOptions.
-// Explicitly configured options — even all-zero ones, which carry Set —
-// pass through verbatim. A telemetry scope is not configuration: it is
-// stripped before the zero-value comparison and re-attached, so
-// Options{Obs: sc} still resolves to the defaults.
+// Resolve replaces a zero-value Options with DefaultOptions; any other
+// value passes through verbatim. A telemetry scope is not
+// configuration: it is stripped before the zero-value comparison and
+// re-attached, so Options{Obs: sc} still resolves to the defaults.
+// Embedders (core.Solve, shard.Solve) resolve through here, so an
+// all-zero engine configuration reaches only direct Run callers.
 func (o Options) Resolve() Options {
 	sc := o.Obs
 	o.Obs = nil

@@ -22,22 +22,6 @@ func TestResolveGameOptionsDefaultsZeroValue(t *testing.T) {
 	}
 }
 
-// TestResolveGameOptionsPreservesExplicitZero is the regression test for
-// the silent-replacement bug: an intentionally all-zero configuration
-// (winner-takes-all, Epsilon 0, no caps) built with
-// NewOptions must pass through verbatim instead of being swapped for
-// the defaults.
-func TestResolveGameOptionsPreservesExplicitZero(t *testing.T) {
-	explicit := NewOptions(Options{})
-	got := explicit.Resolve()
-	if got != explicit {
-		t.Fatalf("explicit all-zero options were replaced: got %+v", got)
-	}
-	if got.PerPlayerCap != 0 || got.Epsilon != 0 {
-		t.Fatalf("explicit zero configuration mutated: %+v", got)
-	}
-}
-
 // TestResolveGameOptionsPassesThroughNonZero: any configured options
 // survive untouched.
 func TestResolveGameOptionsPassesThroughNonZero(t *testing.T) {

@@ -3,10 +3,8 @@
 // are per-MB transfer costs (inverse link speeds). The paper's system
 // model assumes adjacent edge servers communicate over high-speed links
 // and that data moves along lowest-latency paths (Eq. 8); this package
-// supplies the all-pairs shortest-path machinery behind L_{k,o,i}, the
-// random `density·N`-link topologies of experiment Set #4, and the
-// spanning-tree algorithms referenced by the NP-hardness proof (minimum
-// routing cost spanning trees).
+// supplies the all-pairs shortest-path machinery behind L_{k,o,i} and
+// the random `density·N`-link topologies of experiment Set #4.
 package graph
 
 import (

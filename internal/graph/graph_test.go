@@ -244,20 +244,6 @@ func TestShortestPathMatchesDijkstraCost(t *testing.T) {
 	}
 }
 
-func TestHops(t *testing.T) {
-	g := New(5)
-	g.AddEdge(0, 1, 10)
-	g.AddEdge(1, 2, 10)
-	g.AddEdge(0, 2, 10) // direct 1-hop shortcut regardless of weight
-	h := g.Hops(0)
-	if h[0] != 0 || h[1] != 1 || h[2] != 1 {
-		t.Errorf("hops = %v", h)
-	}
-	if h[4] != -1 {
-		t.Errorf("unreachable hop = %d, want -1", h[4])
-	}
-}
-
 func TestClone(t *testing.T) {
 	g := line(4)
 	c := g.Clone()

@@ -49,39 +49,3 @@ func RandomConnected(n, edges int, minSpeed, maxSpeed units.Rate, s *rng.Stream)
 	}
 	return g
 }
-
-// GeometricNeighbors builds a graph connecting each vertex to its k
-// nearest peers under the supplied symmetric distance function, a
-// common model for wired edge-server meshes where nearby base stations
-// are linked. The result may be disconnected for tiny k; callers that
-// need connectivity should union with a spanning tree.
-func GeometricNeighbors(n, k int, dist func(i, j int) float64, linkCost func(i, j int) units.SecondsPerMB) *Graph {
-	g := New(n)
-	if n <= 1 || k <= 0 {
-		return g
-	}
-	type cand struct {
-		j int
-		d float64
-	}
-	for i := 0; i < n; i++ {
-		cands := make([]cand, 0, n-1)
-		for j := 0; j < n; j++ {
-			if j != i {
-				cands = append(cands, cand{j: j, d: dist(i, j)})
-			}
-		}
-		// Partial selection of the k nearest.
-		for sel := 0; sel < k && sel < len(cands); sel++ {
-			best := sel
-			for j := sel + 1; j < len(cands); j++ {
-				if cands[j].d < cands[best].d {
-					best = j
-				}
-			}
-			cands[sel], cands[best] = cands[best], cands[sel]
-			g.AddEdge(i, cands[sel].j, linkCost(i, cands[sel].j))
-		}
-	}
-	return g
-}

@@ -1,12 +1,10 @@
 package graph
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
 	"idde/internal/rng"
-	"idde/internal/units"
 )
 
 func TestRandomConnectedProperties(t *testing.T) {
@@ -71,26 +69,5 @@ func TestRandomConnectedClampsToCompleteGraph(t *testing.T) {
 	g := RandomConnected(5, 100, 2000, 6000, rng.New(2))
 	if g.M() != 10 {
 		t.Errorf("M = %d, want complete graph 10", g.M())
-	}
-}
-
-func TestGeometricNeighbors(t *testing.T) {
-	// Four points on a line at x = 0,1,2,10.
-	xs := []float64{0, 1, 2, 10}
-	dist := func(i, j int) float64 { return math.Abs(xs[i] - xs[j]) }
-	cost := func(i, j int) units.SecondsPerMB { return units.SecondsPerMB(dist(i, j)) }
-	g := GeometricNeighbors(4, 1, dist, cost)
-	if !g.HasEdge(0, 1) || !g.HasEdge(1, 2) {
-		t.Error("nearest-neighbor edges missing")
-	}
-	if g.HasEdge(0, 3) {
-		t.Error("far edge present at k=1")
-	}
-	// k=0 and trivial n yield empty graphs.
-	if g := GeometricNeighbors(4, 0, dist, cost); g.M() != 0 {
-		t.Error("k=0 produced edges")
-	}
-	if g := GeometricNeighbors(1, 3, dist, cost); g.M() != 0 {
-		t.Error("n=1 produced edges")
 	}
 }

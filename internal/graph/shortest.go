@@ -124,28 +124,6 @@ func (g *Graph) ShortestPath(src, dst int) (path []int, cost units.SecondsPerMB,
 	return path, dist[dst], true
 }
 
-// Hops computes the minimum hop count from src (ignoring weights);
-// unreachable vertices get -1.
-func (g *Graph) Hops(src int) []int {
-	dist := make([]int, g.n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := []int{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, e := range g.adj[u] {
-			if dist[e.to] < 0 {
-				dist[e.to] = dist[u] + 1
-				queue = append(queue, e.to)
-			}
-		}
-	}
-	return dist
-}
-
 type costItem struct {
 	v int
 	d units.SecondsPerMB

@@ -195,9 +195,6 @@ func TestDeliverySemantics(t *testing.T) {
 	if d.Used(0) != 90 || d.Used(1) != 0 {
 		t.Errorf("Used = %v/%v", d.Used(0), d.Used(1))
 	}
-	if hs := d.Holders(0); len(hs) != 1 || hs[0] != 0 {
-		t.Errorf("Holders = %v", hs)
-	}
 	c := d.Clone()
 	c.Place(1, 0, 30)
 	if d.Placed(1, 0) {

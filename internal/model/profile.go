@@ -121,17 +121,6 @@ func (d *Delivery) Place(i, k int, size units.MegaBytes) {
 	d.used[i] += size
 }
 
-// Holders returns the servers currently holding item k, ascending.
-func (d *Delivery) Holders(k int) []int {
-	var out []int
-	for i := 0; i < d.n; i++ {
-		if d.placed[i*d.k+k] {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // Clone deep-copies the profile.
 func (d *Delivery) Clone() *Delivery {
 	return &Delivery{

@@ -73,7 +73,7 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	if nilReg.Counter("c") != nil || nilReg.Gauge("g") != nil || nilReg.Histogram("h") != nil {
 		t.Fatal("nil registry returned live metrics")
 	}
-	nilReg.Counter("c").Inc() // nil metric methods are no-ops
+	nilReg.Counter("c").Add(1) // nil metric methods are no-ops
 	if err := nilReg.WritePrometheus(io.Discard); err != nil {
 		t.Fatal(err)
 	}

@@ -21,9 +21,6 @@ func (c *Counter) Add(d int64) {
 	}
 }
 
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
-
 // Value reports the current count.
 func (c *Counter) Value() int64 {
 	if c == nil {

@@ -23,9 +23,9 @@ type DeliverySpec struct {
 	// NaiveGreedy selects the literal re-scan engine (GreedyOpt) instead
 	// of CELF (LazyGreedyOpt). The committed sequence is identical.
 	NaiveGreedy bool
-	// Engine is handed to the chosen engine (Obs, MaxCommits, seed
-	// scan). The lazy engine always runs with ItemLocalGains: both
-	// oracles' state is partitioned by item.
+	// Engine is handed to the chosen engine (Obs). The lazy engine
+	// always runs with ItemLocalGains: both oracles' state is
+	// partitioned by item.
 	Engine Options
 }
 

@@ -1,14 +1,12 @@
 // Package placement implements budgeted greedy maximization for data
 // delivery profiles: the naive argmax loop of Algorithm 1 Phase 2
-// (Eq. 17), an accelerated lazy-greedy (CELF-style) variant that
-// exploits the submodularity of latency reduction, and an exhaustive
-// optimal search for tiny instances used to verify the Theorem 6/7
-// approximation bounds empirically.
+// (Eq. 17) and an accelerated lazy-greedy (CELF-style) variant that
+// exploits the submodularity of latency reduction.
 //
 // The oracle abstraction decouples the greedy from the IDDE latency
-// model, so the CDP baseline and the core algorithm share one engine.
-// Deliver (deliver.go) binds the engine to the model's latency oracles:
-// it is the one Phase 2 driver of the global and the sharded solver.
+// model. Deliver (deliver.go) binds the engine to the model's latency
+// oracles: it is the one Phase 2 driver of the global and the sharded
+// solver and of repair's re-placement.
 package placement
 
 import (
@@ -25,7 +23,7 @@ type Candidate struct {
 
 // Oracle exposes the marginal structure of a placement problem.
 // Gains must be monotone non-increasing as decisions commit
-// (submodularity) for LazyGreedy to match Greedy. The engines call
+// (submodularity) for LazyGreedyOpt to match GreedyOpt. The engines call
 // every method from the caller's goroutine, one call at a time.
 type Oracle interface {
 	// Gain reports the total objective reduction of committing c now.
@@ -55,18 +53,12 @@ type Options struct {
 	// candidates sharing its Item — true for both IDDE delivery oracles,
 	// whose state is partitioned by item, so Deliver always sets it
 	// (feasibility may still change across items; it is re-checked at
-	// every pop). LazyGreedy then tracks staleness per item instead of
+	// every pop). LazyGreedyOpt then tracks staleness per item instead of
 	// globally, skipping refresh evaluations whose result is provably
 	// the cached ratio. The pop — and therefore commit — sequence is
 	// bit-identical; only Result.Evaluations drops (the same argument as
 	// the game engine's dirty-set scheduler).
 	ItemLocalGains bool
-	// MaxCommits caps the number of committed decisions (0 =
-	// unlimited). The greedy stops as soon as the cap is reached; the
-	// committed prefix is identical to the uncapped run's first
-	// MaxCommits decisions. The sharded solver's reconcile pass uses it
-	// to bound the final global re-commit sweep.
-	MaxCommits int
 	// Obs receives the engine's telemetry: per-commit trace events
 	// (when a tracer is attached), a commit-gain histogram, and the
 	// final Result cross-wired into counters. nil disables all of it;
@@ -74,7 +66,7 @@ type Options struct {
 	Obs *obs.Scope
 }
 
-// Greedy runs the literal Algorithm 1 Phase 2 loop: every round,
+// GreedyOpt runs the literal Algorithm 1 Phase 2 loop: every round,
 // re-evaluate every remaining feasible candidate and commit the one
 // with the highest gain-per-cost ratio; stop when nothing feasible has
 // positive gain. Committed candidates are swap-removed from the working
@@ -82,14 +74,9 @@ type Options struct {
 // permanently (the Oracle contract makes infeasibility monotone); exact
 // ratio ties are broken by original candidate index, so the committed
 // sequence is independent of the resulting scan order and identical to
-// the historical tombstone loop and to LazyGreedy.
-func Greedy(cands []Candidate, o Oracle) Result {
-	return GreedyOpt(cands, o, Options{})
-}
-
-// GreedyOpt is Greedy with an Options surface; the naive engine ignores
-// every knob except Obs (the re-scan loop is inherently sequential),
-// which lets the reference path emit the same telemetry as LazyGreedy.
+// the historical tombstone loop and to LazyGreedyOpt. It ignores every
+// option except Obs, which lets the reference path emit the same
+// telemetry as LazyGreedyOpt.
 func GreedyOpt(cands []Candidate, o Oracle, opt Options) Result {
 	res := Result{Chosen: make([]Candidate, 0, len(cands))}
 	remaining := append([]Candidate(nil), cands...)
@@ -128,25 +115,15 @@ func GreedyOpt(cands []Candidate, o Oracle, opt Options) Result {
 		res.TotalGain += realized
 		res.Chosen = append(res.Chosen, c)
 		traceCommit(opt.Obs, o, &res, c, realized, bestRatio)
-		if opt.MaxCommits > 0 && len(res.Chosen) >= opt.MaxCommits {
-			publishResult(opt.Obs, &res)
-			return res
-		}
 		last := len(remaining) - 1
 		remaining[bestIdx], orig[bestIdx] = remaining[last], orig[last]
 		remaining, orig = remaining[:last], orig[:last]
 	}
 }
 
-// LazyGreedy runs the same policy with a lazy priority queue and the
-// zero-value Options; see LazyGreedyOpt.
-func LazyGreedy(cands []Candidate, o Oracle) Result {
-	return LazyGreedyOpt(cands, o, Options{})
-}
-
 // LazyGreedyOpt runs the Eq. 17 policy with a lazy priority queue:
 // stale upper bounds are refreshed only when a candidate reaches the
-// top. For submodular gains the output matches Greedy while evaluating
+// top. For submodular gains the output matches GreedyOpt while evaluating
 // far fewer candidates.
 func LazyGreedyOpt(cands []Candidate, o Oracle, opt Options) Result {
 	var res Result
@@ -197,9 +174,6 @@ func LazyGreedyOpt(cands []Candidate, o Oracle, opt Options) Result {
 		res.TotalGain += realized
 		res.Chosen = append(res.Chosen, top.c)
 		traceCommit(opt.Obs, o, &res, top.c, realized, top.ratio)
-		if opt.MaxCommits > 0 && len(res.Chosen) >= opt.MaxCommits {
-			break
-		}
 		round++
 		if itemRound != nil {
 			itemRound[top.c.Item]++
@@ -277,7 +251,7 @@ type lazyEntry struct {
 // interface costs a dynamic Less/Swap dispatch per sift level — the
 // dominant Phase 2 engine overhead once the oracle itself is cheap.
 // The ordering (ratio descending, exact ties by original candidate
-// index ascending — the same first-max-wins rule the literal Greedy
+// index ascending — the same first-max-wins rule the literal GreedyOpt
 // re-scan applies) is a strict total order, so the pop sequence is a
 // function of the heap's contents alone and the committed sequence is
 // independent of the internal element arrangement.
@@ -325,46 +299,4 @@ func (h *lazyHeap) popTop() {
 	if n > 0 {
 		(*h).siftDown(0)
 	}
-}
-
-// SearchOracle extends Oracle with the rollback needed for exhaustive
-// search. Only tiny test instances implement it.
-type SearchOracle interface {
-	Oracle
-	// Uncommit reverses the most recent Commit.
-	Uncommit(c Candidate)
-}
-
-// ExhaustiveBest finds the subset of candidates with the maximum total
-// gain subject to feasibility by depth-first enumeration. Exponential in
-// len(cands); it exists to measure greedy's empirical approximation
-// ratio on small instances (Theorems 6–7).
-func ExhaustiveBest(cands []Candidate, o SearchOracle) (best []Candidate, bestGain float64) {
-	var cur []Candidate
-	var curGain float64
-	var rec func(idx int)
-	rec = func(idx int) {
-		if curGain > bestGain {
-			bestGain = curGain
-			best = append([]Candidate(nil), cur...)
-		}
-		if idx >= len(cands) {
-			return
-		}
-		// Branch 1: take cands[idx] if feasible.
-		c := cands[idx]
-		if o.Feasible(c) {
-			g := o.Commit(c)
-			cur = append(cur, c)
-			curGain += g
-			rec(idx + 1)
-			curGain -= g
-			cur = cur[:len(cur)-1]
-			o.Uncommit(c)
-		}
-		// Branch 2: skip.
-		rec(idx + 1)
-	}
-	rec(0)
-	return best, bestGain
 }

@@ -12,8 +12,8 @@ import (
 // the IDDE delivery structure: req[r] has a current latency cur[r] and
 // requests item item[r]; committing candidate (i,k) moves every request
 // of item k down to via[i][r] if that is lower. Budgets are per server.
-// It recomputes state from scratch on Commit/Uncommit, making it a
-// valid SearchOracle for differential tests.
+// It recomputes state from scratch on Commit/Uncommit, so
+// exhaustiveBest can roll its commits back.
 type coverOracle struct {
 	items  []int       // item requested by each request
 	cloud  []float64   // initial latency per request
@@ -108,6 +108,40 @@ func randomOracle(seed uint64, servers, items, reqs int) (*coverOracle, []Candid
 	return o, cands
 }
 
+// exhaustiveBest finds the subset of candidates with the maximum total
+// gain subject to feasibility by depth-first enumeration. Exponential in
+// len(cands); it exists to measure greedy's empirical approximation
+// ratio on small instances (Theorems 6–7).
+func exhaustiveBest(cands []Candidate, o *coverOracle) (best []Candidate, bestGain float64) {
+	var cur []Candidate
+	var curGain float64
+	var rec func(idx int)
+	rec = func(idx int) {
+		if curGain > bestGain {
+			bestGain = curGain
+			best = append([]Candidate(nil), cur...)
+		}
+		if idx >= len(cands) {
+			return
+		}
+		// Branch 1: take cands[idx] if feasible.
+		c := cands[idx]
+		if o.Feasible(c) {
+			g := o.Commit(c)
+			cur = append(cur, c)
+			curGain += g
+			rec(idx + 1)
+			curGain -= g
+			cur = cur[:len(cur)-1]
+			o.Uncommit(c)
+		}
+		// Branch 2: skip.
+		rec(idx + 1)
+	}
+	rec(0)
+	return best, bestGain
+}
+
 func clone(o *coverOracle) *coverOracle {
 	c := *o
 	c.placed = map[Candidate]bool{}
@@ -116,7 +150,7 @@ func clone(o *coverOracle) *coverOracle {
 
 func TestGreedyRespectsBudgets(t *testing.T) {
 	o, cands := randomOracle(1, 4, 3, 40)
-	res := Greedy(cands, o)
+	res := GreedyOpt(cands, o, Options{})
 	for i := range o.budget {
 		if o.used(i) > o.budget[i]+1e-9 {
 			t.Errorf("server %d over budget: %v > %v", i, o.used(i), o.budget[i])
@@ -147,7 +181,7 @@ func TestGreedyPicksRatioNotRawGain(t *testing.T) {
 		placed: map[Candidate]bool{},
 	}
 	cands := []Candidate{{Server: 0, Item: 0}, {Server: 0, Item: 1}}
-	res := Greedy(cands, o)
+	res := GreedyOpt(cands, o, Options{})
 	if len(res.Chosen) == 0 || res.Chosen[0] != (Candidate{Server: 0, Item: 1}) {
 		t.Fatalf("first pick = %v, want the high-ratio small item", res.Chosen)
 	}
@@ -157,8 +191,8 @@ func TestLazyGreedyMatchesGreedy(t *testing.T) {
 	for seed := uint64(1); seed <= 12; seed++ {
 		oa, cands := randomOracle(seed, 5, 4, 60)
 		ob := clone(oa)
-		ra := Greedy(cands, oa)
-		rb := LazyGreedy(cands, ob)
+		ra := GreedyOpt(cands, oa, Options{})
+		rb := LazyGreedyOpt(cands, ob, Options{})
 		if math.Abs(ra.TotalGain-rb.TotalGain) > 1e-9*math.Max(1, ra.TotalGain) {
 			t.Fatalf("seed %d: gains differ: %v vs %v", seed, ra.TotalGain, rb.TotalGain)
 		}
@@ -175,8 +209,8 @@ func TestLazyGreedyMatchesGreedy(t *testing.T) {
 func TestLazyGreedySavesEvaluations(t *testing.T) {
 	oa, cands := randomOracle(3, 8, 6, 150)
 	ob := clone(oa)
-	ra := Greedy(cands, oa)
-	rb := LazyGreedy(cands, ob)
+	ra := GreedyOpt(cands, oa, Options{})
+	rb := LazyGreedyOpt(cands, ob, Options{})
 	if ra.Evaluations <= rb.Evaluations {
 		t.Skipf("instance too easy to demonstrate CELF savings: %d vs %d", ra.Evaluations, rb.Evaluations)
 	}
@@ -224,7 +258,7 @@ func TestGreedySwapRemoveMatchesTombstone(t *testing.T) {
 	for seed := uint64(1); seed <= 15; seed++ {
 		oa, cands := randomOracle(seed, 6, 5, 80)
 		ob := clone(oa)
-		got := Greedy(cands, oa)
+		got := GreedyOpt(cands, oa, Options{})
 		ref := tombstoneGreedy(cands, ob)
 		if !reflect.DeepEqual(got.Chosen, ref.Chosen) {
 			t.Fatalf("seed %d: sequences diverge:\nswap-remove %v\ntombstone   %v", seed, got.Chosen, ref.Chosen)
@@ -263,12 +297,12 @@ func TestGreedyTieBreakSurvivesSwapRemove(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		cands = append(cands, Candidate{Server: i, Item: i})
 	}
-	got := Greedy(cands, clone(o))
+	got := GreedyOpt(cands, clone(o), Options{})
 	want := cands // ascending index order
 	if !reflect.DeepEqual(got.Chosen, want) {
 		t.Fatalf("tied candidates committed out of index order: %v", got.Chosen)
 	}
-	lazy := LazyGreedy(cands, clone(o))
+	lazy := LazyGreedyOpt(cands, clone(o), Options{})
 	if !reflect.DeepEqual(lazy.Chosen, want) {
 		t.Fatalf("LazyGreedy broke the tie differently: %v", lazy.Chosen)
 	}
@@ -314,7 +348,7 @@ func TestGreedyStopsOnZeroGain(t *testing.T) {
 		budget: []float64{300},
 		placed: map[Candidate]bool{},
 	}
-	res := Greedy([]Candidate{{Server: 0, Item: 0}}, o)
+	res := GreedyOpt([]Candidate{{Server: 0, Item: 0}}, o, Options{})
 	if len(res.Chosen) != 0 || res.TotalGain != 0 {
 		t.Errorf("placed a useless replica: %+v", res)
 	}
@@ -327,8 +361,8 @@ func TestGreedyWithinApproxBoundOfExhaustive(t *testing.T) {
 	for seed := uint64(20); seed < 30; seed++ {
 		og, cands := randomOracle(seed, 2, 3, 8)
 		oe := clone(og)
-		rg := Greedy(cands, og)
-		_, opt := ExhaustiveBest(cands, oe)
+		rg := GreedyOpt(cands, og, Options{})
+		_, opt := exhaustiveBest(cands, oe)
 		if opt == 0 {
 			continue
 		}
@@ -343,7 +377,7 @@ func TestGreedyWithinApproxBoundOfExhaustive(t *testing.T) {
 
 func TestExhaustiveBestHandlesEmpty(t *testing.T) {
 	o, _ := randomOracle(5, 2, 2, 5)
-	best, gain := ExhaustiveBest(nil, o)
+	best, gain := exhaustiveBest(nil, o)
 	if len(best) != 0 || gain != 0 {
 		t.Errorf("empty search returned %v/%v", best, gain)
 	}
@@ -351,7 +385,7 @@ func TestExhaustiveBestHandlesEmpty(t *testing.T) {
 
 func TestExhaustiveRestoresState(t *testing.T) {
 	o, cands := randomOracle(6, 2, 2, 10)
-	ExhaustiveBest(cands, o)
+	exhaustiveBest(cands, o)
 	if len(o.placed) != 0 {
 		t.Errorf("search left %d placements behind", len(o.placed))
 	}

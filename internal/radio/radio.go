@@ -107,13 +107,3 @@ func (m Model) Lemma2Bound(g float64, p units.Watts, rmin, b units.Rate) units.W
 	}
 	return units.Watts(t)
 }
-
-// InverseShannonSINR reports the SINR needed to reach rate r on
-// bandwidth b: 2^{r/B} − 1. It is the inverse of ShannonRate and is used
-// in tests and capacity planning.
-func InverseShannonSINR(r, b units.Rate) float64 {
-	if b <= 0 {
-		return math.Inf(1)
-	}
-	return math.Pow(2, float64(r)/float64(b)) - 1
-}

@@ -129,21 +129,6 @@ func TestCapRate(t *testing.T) {
 	}
 }
 
-func TestInverseShannonRoundTrip(t *testing.T) {
-	f := func(rRaw float64) bool {
-		r := units.Rate(math.Mod(math.Abs(rRaw), 1000))
-		sinr := InverseShannonSINR(r, 200)
-		back := ShannonRate(200, sinr)
-		return math.Abs(float64(back-r)) <= 1e-9*math.Max(1, float64(r))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-	if !math.IsInf(InverseShannonSINR(100, 0), 1) {
-		t.Error("zero bandwidth should need infinite SINR")
-	}
-}
-
 func TestLemma2Bound(t *testing.T) {
 	m := Default()
 	g := m.Gain(100)

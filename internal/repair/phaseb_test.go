@@ -68,7 +68,7 @@ func refPhaseB(degraded *model.Instance, old *model.Delivery, alloc model.Alloca
 			}
 		}
 	}
-	pres := placement.LazyGreedy(cands, &refOracle{in: degraded, ls: ls, d: d})
+	pres := placement.LazyGreedyOpt(cands, &refOracle{in: degraded, ls: ls, d: d}, placement.Options{})
 	return d, lost, len(pres.Chosen)
 }
 

@@ -73,7 +73,8 @@ type Options struct {
 	// Backoff is the base retry delay, doubling per attempt (default 2ms).
 	Backoff units.Seconds
 	// Jitter is the uniform jitter fraction applied to every backoff
-	// delay, in [0,1] (default 0.5).
+	// delay, in [0,1]. The zero value means no jitter; a value outside
+	// [0,1] is replaced by 0.5.
 	Jitter float64
 	// Hedge enables hedged requests: when the primary resolution's
 	// latency exceeds this threshold, a second request to the next-best

@@ -276,3 +276,19 @@ func TestInjectLiveFault(t *testing.T) {
 			rep.BreakerOpens, rep.Replans, rep.HealedAtEnd)
 	}
 }
+
+// TestJitterDefaults pins withDefaults' jitter rule: zero is kept (no
+// jitter) and only an out-of-range fraction is replaced by 0.5.
+func TestJitterDefaults(t *testing.T) {
+	for _, tc := range []struct{ in, want float64 }{
+		{0, 0},
+		{0.3, 0.3},
+		{1, 1},
+		{2, 0.5},
+		{-1, 0.5},
+	} {
+		if got := (Options{Jitter: tc.in}).withDefaults().Jitter; got != tc.want {
+			t.Errorf("Jitter %v resolved to %v, want %v", tc.in, got, tc.want)
+		}
+	}
+}

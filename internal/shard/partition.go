@@ -18,7 +18,7 @@
 // order; the halo sweeps run in fixed tile order; and every candidate
 // enumeration is ascending. A single-tile sharded solve is bit-identical
 // to the global solver, and multi-tile results are independent of
-// GOMAXPROCS and the worker cap (pinned by shard_differential_test.go
+// GOMAXPROCS, which caps the tile workers (pinned by shard_differential_test.go
 // at the repo root).
 package shard
 

@@ -9,7 +9,6 @@ import (
 	"idde/internal/model"
 	"idde/internal/obs"
 	"idde/internal/placement"
-	"idde/internal/rng"
 	"idde/internal/units"
 )
 
@@ -26,35 +25,21 @@ const DefaultHaloRounds = 2
 
 // Config tunes the sharded solver. Game follows the same resolution
 // rules as core.Options.Game: a zero value (ignoring Obs) is replaced by
-// game.DefaultOptions, an explicitly configured all-zero value carries
-// Set and passes through. Placement is used as given. Each tile game
-// and each Phase 2 run executes on one goroutine; the tile workers
-// (Workers) are the solver's only parallelism.
+// game.DefaultOptions. Placement is used as given. Each tile game and
+// each Phase 2 run executes on one goroutine; the tile workers, up to
+// GOMAXPROCS at once, are the solver's only parallelism.
 type Config struct {
 	// Tiles is the target tile count (values < 1 mean 1; capped at N).
 	Tiles int
 	// HaloRounds caps the halo-exchange sweeps (0 = DefaultHaloRounds,
 	// negative = no exchange at all).
 	HaloRounds int
-	// ReconcileCommits bounds the final global CELF re-commit pass (0 =
-	// unlimited, negative = skip the extra pass; the replica replay that
-	// rebuilds the oracle state always runs).
-	ReconcileCommits int
 	// NoSweepSkip disables the halo-exchange early exit that skips a
 	// tile's repair sweep when no cross-tile commit since its last run
 	// could have perturbed any of its players. The skip preserves the
 	// fixpoint exactly (see runExchange); the flag exists for the
 	// differential tests that pin that claim.
 	NoSweepSkip bool
-	// Workers caps concurrent tile workers (0 = GOMAXPROCS). The result
-	// is independent of the cap: tiles write disjoint state and merge in
-	// tile order.
-	Workers int
-	// Seed roots the per-tile rng streams (Tile t gets
-	// rng.New(Seed).SplitN("tile", t)); the deterministic solver itself
-	// draws nothing, the streams exist for stochastic per-tile policies
-	// layered on top (and are exercised by the tests).
-	Seed uint64
 
 	// Game, Placement and the oracle/evaluator toggles mirror
 	// core.Options and select the same code paths per tile.
@@ -144,12 +129,6 @@ type Result struct {
 	// Stage wall-clock: tile Phase 1 workers, halo-exchange sweeps,
 	// tile Phase 2 workers, reconcile pass.
 	Phase1Time, SweepTime, Phase2Time, ReconcileTime time.Duration
-}
-
-// TileStream derives the labeled per-tile rng stream for tile t under
-// the config's seed — the substrate for stochastic per-tile policies.
-func (c Config) TileStream(t int) *rng.Stream {
-	return rng.New(c.Seed).SplitN("tile", t)
 }
 
 // Game adapts a slice of the IDDE-U game to the generic engine (the
@@ -308,10 +287,6 @@ func Views(in *model.Instance, tiles int) []*model.Instance {
 func Solve(in *model.Instance, cfg Config) *Result {
 	cfg.Game = cfg.Game.Resolve()
 	sc := cfg.Obs
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 
 	p := MakePartition(in, cfg.Tiles)
 	T := len(p.Tiles)
@@ -355,7 +330,7 @@ func Solve(in *model.Instance, cfg Config) *Result {
 	t0 := time.Now()
 	ledgers := make([]*model.Ledger, T)
 	stats := make([]game.Stats, T)
-	runTiles(T, workers, func(t int) {
+	runTiles(T, func(t int) {
 		tsc := tileScope(t)
 		view := in
 		if T > 1 {
@@ -434,7 +409,7 @@ func Solve(in *model.Instance, cfg Config) *Result {
 	}
 	deliveries := make([]*model.Delivery, T)
 	presults := make([]placement.Result, T)
-	runTiles(T, workers, func(t int) {
+	runTiles(T, func(t int) {
 		tsc := tileScope(t)
 		if tsc.Tracing() {
 			tsc.Begin("shard", "tile_phase2", map[string]any{"tile": t})
@@ -464,17 +439,15 @@ func Solve(in *model.Instance, cfg Config) *Result {
 
 	// ---- Reconcile: rebuild the oracle state globally (replaying the
 	// merged replicas in ascending (server, item) order) and run one
-	// bounded CELF pass over every remaining candidate, catching
-	// replicas whose value is spread across tiles.
+	// CELF pass over every remaining candidate, catching replicas whose
+	// value is spread across tiles.
 	t3 := time.Now()
-	if cfg.ReconcileCommits >= 0 {
-		rres := reconcile(in, res.Alloc, delivery, cfg, sc)
-		res.Replicas += len(rres.Chosen)
-		res.GainEvaluations += rres.Evaluations
-		res.LatencyReduction += units.Seconds(rres.TotalGain)
-		res.Stats.ReconcileReplicas = len(rres.Chosen)
-		res.Stats.ReconcileGain = rres.TotalGain
-	}
+	rres := reconcile(in, res.Alloc, delivery, cfg, sc)
+	res.Replicas += len(rres.Chosen)
+	res.GainEvaluations += rres.Evaluations
+	res.LatencyReduction += units.Seconds(rres.TotalGain)
+	res.Stats.ReconcileReplicas = len(rres.Chosen)
+	res.Stats.ReconcileGain = rres.TotalGain
 	res.ReconcileTime = time.Since(t3)
 	sc.End("solve", "phase2")
 
@@ -483,13 +456,11 @@ func Solve(in *model.Instance, cfg Config) *Result {
 	return res
 }
 
-// runTiles executes fn(t) for every tile on up to `workers` concurrent
+// runTiles executes fn(t) for every tile on up to GOMAXPROCS concurrent
 // goroutines. Each tile writes only its own result slots, so the merge
 // (in tile order, by the caller) is scheduling-independent.
-func runTiles(tiles, workers int, fn func(t int)) {
-	if workers < 1 {
-		workers = 1
-	}
+func runTiles(tiles int, fn func(t int)) {
+	workers := runtime.GOMAXPROCS(0)
 	if workers == 1 || tiles == 1 {
 		for t := 0; t < tiles; t++ {
 			fn(t)
@@ -653,7 +624,7 @@ func tileInstance(in *model.Instance, tile Tile) *model.Instance {
 	return &in2
 }
 
-// reconcile runs one bounded global Phase 2 pass over the merged
+// reconcile runs one global Phase 2 pass over the merged
 // delivery d: the driver replays the merged replicas in ascending
 // (server, item) order, a canonical order independent of which tile
 // placed them, then proposes every remaining candidate. For a single
@@ -662,7 +633,6 @@ func tileInstance(in *model.Instance, tile Tile) *model.Instance {
 func reconcile(in *model.Instance, alloc model.Allocation, d *model.Delivery, cfg Config, sc *obs.Scope) placement.Result {
 	eng := cfg.Placement
 	eng.Obs = sc
-	eng.MaxCommits = cfg.ReconcileCommits
 	return placement.Deliver(placement.DeliverySpec{
 		In: in, Alloc: alloc, Delivery: d,
 		NaiveLatency: cfg.NaiveLatency, NaiveGreedy: cfg.NaiveGreedy,

@@ -123,34 +123,3 @@ func Percentile(xs []float64, p float64) float64 {
 	frac := pos - float64(lo)
 	return ys[lo]*(1-frac) + ys[hi]*frac
 }
-
-// GeoMean reports the geometric mean of strictly positive values, the
-// conventional way to aggregate speedup ratios across experiment sets.
-// Non-positive inputs cause a panic.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			panic("stats: GeoMean of non-positive value")
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs)))
-}
-
-// RelAdvantage reports how much better `ours` is than `theirs` as a
-// fraction, in the orientation the paper quotes:
-//   - higherIsBetter: (ours − theirs)/theirs   (e.g. data rate, +9.2%)
-//   - !higherIsBetter: (theirs − ours)/theirs  (e.g. latency, +82.6%)
-func RelAdvantage(ours, theirs float64, higherIsBetter bool) float64 {
-	if theirs == 0 {
-		return 0
-	}
-	if higherIsBetter {
-		return (ours - theirs) / theirs
-	}
-	return (theirs - ours) / theirs
-}

@@ -125,35 +125,6 @@ func TestPercentilePanics(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{1, 4, 16}); math.Abs(g-4) > 1e-12 {
-		t.Errorf("GeoMean = %v, want 4", g)
-	}
-	if g := GeoMean(nil); g != 0 {
-		t.Errorf("GeoMean(nil) = %v", g)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("GeoMean with zero did not panic")
-		}
-	}()
-	GeoMean([]float64{1, 0})
-}
-
-func TestRelAdvantage(t *testing.T) {
-	// Rate orientation: ours 110 vs theirs 100 → +10%.
-	if v := RelAdvantage(110, 100, true); math.Abs(v-0.10) > 1e-12 {
-		t.Errorf("rate advantage = %v", v)
-	}
-	// Latency orientation: ours 5ms vs theirs 20ms → 75% lower.
-	if v := RelAdvantage(5, 20, false); math.Abs(v-0.75) > 1e-12 {
-		t.Errorf("latency advantage = %v", v)
-	}
-	if v := RelAdvantage(5, 0, false); v != 0 {
-		t.Errorf("zero baseline should yield 0, got %v", v)
-	}
-}
-
 func TestCI95ShrinksWithN(t *testing.T) {
 	var small, large Acc
 	for i := 0; i < 10; i++ {

@@ -205,9 +205,6 @@ func (t *Topology) Finalize() error {
 	return nil
 }
 
-// CoverageOf reports the servers covering user j (V_j).
-func (t *Topology) CoverageOf(j int) []int { return t.Coverage[j] }
-
 // Covers reports whether server i covers user j (failed servers cover
 // nobody).
 func (t *Topology) Covers(i, j int) bool {

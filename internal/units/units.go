@@ -59,9 +59,6 @@ func (s Seconds) Duration() time.Duration {
 	return time.Duration(float64(s) * float64(time.Second))
 }
 
-// FromDuration converts a time.Duration to Seconds.
-func FromDuration(d time.Duration) Seconds { return Seconds(d.Seconds()) }
-
 func (s Seconds) String() string {
 	if s < 1 {
 		return fmt.Sprintf("%.3fms", s.Millis())

@@ -79,9 +79,6 @@ func TestSecondsViews(t *testing.T) {
 	if s.Duration() != 12500*time.Microsecond {
 		t.Errorf("Duration = %v", s.Duration())
 	}
-	if got := FromDuration(250 * time.Millisecond); got != 0.25 {
-		t.Errorf("FromDuration = %v", got)
-	}
 }
 
 func TestStringFormats(t *testing.T) {

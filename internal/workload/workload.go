@@ -57,21 +57,6 @@ func (w *Workload) TotalCapacity() units.MegaBytes {
 	return total
 }
 
-// Requests2D materializes the dense ζ matrix, used by solvers that
-// index by (user, item).
-func (w *Workload) Requests2D(m int) [][]bool {
-	z := make([][]bool, m)
-	for j := range z {
-		z[j] = make([]bool, w.K())
-		if j < len(w.Requests) {
-			for _, k := range w.Requests[j] {
-				z[j][k] = true
-			}
-		}
-	}
-	return z
-}
-
 // MaxItemSize reports s_max, the largest item size (the fragmentation
 // term of Theorem 7).
 func (w *Workload) MaxItemSize() units.MegaBytes {

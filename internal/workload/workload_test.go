@@ -82,25 +82,6 @@ func TestTotals(t *testing.T) {
 	}
 }
 
-func TestRequests2D(t *testing.T) {
-	w := &Workload{
-		Items:    []Item{{ID: 0, Size: 30}, {ID: 1, Size: 60}, {ID: 2, Size: 90}},
-		Requests: [][]int{{0, 2}, {1}},
-		Capacity: nil,
-	}
-	z := w.Requests2D(2)
-	if !z[0][0] || z[0][1] || !z[0][2] || z[1][0] || !z[1][1] {
-		t.Errorf("Requests2D wrong: %v", z)
-	}
-	// A larger m pads with empty rows.
-	z3 := w.Requests2D(3)
-	for k := range z3[2] {
-		if z3[2][k] {
-			t.Error("padded row not empty")
-		}
-	}
-}
-
 func TestValidateCatchesCorruption(t *testing.T) {
 	base := func() *Workload {
 		return &Workload{

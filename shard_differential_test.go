@@ -125,17 +125,21 @@ func TestShardedSolveGomaxprocsInvariance(t *testing.T) {
 	}
 }
 
-// TestShardedSolveWorkerCapInvariance: the explicit worker cap must not
-// change the outcome either — shard.Solve is invoked directly so the
-// cap can be set.
+// TestShardedSolveWorkerCapInvariance: the tile-worker cap, which is
+// GOMAXPROCS, must not change the outcome of shard.Solve when it is
+// called directly — below the tile count (1, 2) and above it (5).
 func TestShardedSolveWorkerCapInvariance(t *testing.T) {
 	in, err := experiment.BuildInstance(experiment.Params{N: 16, M: 120, K: 5, Density: 1.0}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+
 	var base *shard.Result
 	for _, w := range []int{1, 2, 5} {
-		res := shard.Solve(in, shard.Config{Tiles: 4, Workers: w})
+		runtime.GOMAXPROCS(w)
+		res := shard.Solve(in, shard.Config{Tiles: 4})
 		if base == nil {
 			base = res
 			continue
@@ -144,7 +148,7 @@ func TestShardedSolveWorkerCapInvariance(t *testing.T) {
 			!reflect.DeepEqual(res.Delivery, base.Delivery) ||
 			res.AvgRate != base.AvgRate || res.Phase1 != base.Phase1 ||
 			res.Stats != base.Stats {
-			t.Fatalf("Workers=%d sharded solve diverged from Workers=1", w)
+			t.Fatalf("worker cap %d: sharded solve diverged from cap 1", w)
 		}
 	}
 }

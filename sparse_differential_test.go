@@ -53,9 +53,7 @@ func sparseVariants(t *testing.T, in *model.Instance) map[string]*model.Instance
 }
 
 // TestSparseSolveMatchesDense: full two-phase solves on the CSR layout
-// must fingerprint-match the dense reference, under both cutoffs, and
-// the Options.DenseInstance escape hatch must route a sparse instance
-// through the dense path with the same result.
+// must fingerprint-match the dense reference, under both cutoffs.
 func TestSparseSolveMatchesDense(t *testing.T) {
 	for _, g := range sparseGrid {
 		in, err := experiment.BuildInstance(g.p, g.seed)
@@ -68,12 +66,6 @@ func TestSparseSolveMatchesDense(t *testing.T) {
 			got := fingerprint(core.Solve(sp, core.DefaultOptions()))
 			if !reflect.DeepEqual(got, base) {
 				t.Fatalf("%v [%s]: sparse solve diverges from dense:\n%+v\nvs\n%+v", g.p, name, got, base)
-			}
-			opt := core.DefaultOptions()
-			opt.DenseInstance = true
-			viaFlag := fingerprint(core.Solve(sp, opt))
-			if !reflect.DeepEqual(viaFlag, base) {
-				t.Fatalf("%v [%s]: DenseInstance solve diverges from dense", g.p, name)
 			}
 		}
 	}
