@@ -50,7 +50,6 @@ func realMain() int {
 		rps        = flag.Int("rps", 500, "sustained requests per virtual second")
 		duration   = flag.Float64("duration", 60, "soak length in virtual seconds")
 		tick       = flag.Float64("tick", 1, "round length in virtual seconds")
-		workers    = flag.Int("workers", 0, "parallel request evaluators (0 = GOMAXPROCS)")
 		deadlineMs = flag.Float64("deadline-ms", 2000, "per-request latency budget (ms)")
 		retries    = flag.Int("retries", 2, "retries per source before failover")
 		backoffMs  = flag.Float64("backoff-ms", 2, "base retry backoff (ms), doubled per attempt")
@@ -112,7 +111,6 @@ func realMain() int {
 
 	opt := serve.Options{
 		Seed:               *seed,
-		Workers:            *workers,
 		RPS:                *rps,
 		Tick:               units.Seconds(*tick),
 		Duration:           units.Seconds(*duration),

@@ -92,13 +92,6 @@ func (g *Graph) HasEdge(u, v int) bool {
 	return false
 }
 
-// Neighbors calls fn for each neighbor of u with the edge cost.
-func (g *Graph) Neighbors(u int, fn func(v int, cost units.SecondsPerMB)) {
-	for _, e := range g.adj[u] {
-		fn(e.to, e.cost)
-	}
-}
-
 // Degree reports the number of neighbors of u.
 func (g *Graph) Degree(u int) int { return len(g.adj[u]) }
 

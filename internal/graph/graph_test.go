@@ -232,11 +232,11 @@ func TestShortestPathMatchesDijkstraCost(t *testing.T) {
 			if !g.HasEdge(path[i], path[i+1]) {
 				t.Fatalf("path step (%d,%d) not an edge", path[i], path[i+1])
 			}
-			g.Neighbors(path[i], func(to int, c units.SecondsPerMB) {
-				if to == path[i+1] {
-					sum += c
+			for _, e := range g.adj[path[i]] {
+				if e.to == path[i+1] {
+					sum += e.cost
 				}
-			})
+			}
 		}
 		if math.Abs(float64(sum-cost)) > 1e-12*math.Max(1, float64(cost)) {
 			t.Fatalf("path edge sum %v != cost %v", sum, cost)

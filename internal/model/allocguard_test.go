@@ -108,7 +108,7 @@ func TestGainRowZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cols, _ := sp.GainRow(0).Support()
+	cols := sp.GainRow(0).cols
 	if len(cols) == 0 || len(cols) == sp.M() {
 		t.Fatalf("tight-cutoff row 0 has trivial support %d of %d", len(cols), sp.M())
 	}

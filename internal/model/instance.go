@@ -369,11 +369,6 @@ func (r GainRow) At(j int) float64 {
 	return r.in.Radio.Gain(r.in.Top.Distance(int(r.i), j))
 }
 
-// Support reports the stored columns (ascending user ids) and their
-// gains. Dense rows report nil columns — every column is stored; use
-// Len and At.
-func (r GainRow) Support() (cols []int32, vals []float64) { return r.cols, r.vals }
-
 // Len reports the stored-entry count of the row.
 func (r GainRow) Len() int {
 	if r.dense != nil {

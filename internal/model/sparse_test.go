@@ -113,7 +113,7 @@ func TestSparseDuplicatePositions(t *testing.T) {
 		t.Fatal(err)
 	}
 	row := sp.GainRow(0)
-	cols, vals := row.Support()
+	cols, vals := row.cols, row.vals
 	if !reflect.DeepEqual(cols, []int32{0, 1, 2}) {
 		t.Fatalf("support = %v, want [0 1 2]", cols)
 	}
@@ -143,8 +143,8 @@ func TestSparseBuildDeterministicAcrossGomaxprocs(t *testing.T) {
 		}
 		out := make([]rowdump, sp.N())
 		for i := range out {
-			c, v := sp.GainRow(i).Support()
-			out[i] = rowdump{Cols: c, Vals: v}
+			row := sp.GainRow(i)
+			out[i] = rowdump{Cols: row.cols, Vals: row.vals}
 		}
 		return out
 	}

@@ -65,8 +65,8 @@ func TestHistogramObserveZeroAllocs(t *testing.T) {
 // both the nil-recorder and rate-0 forms must be allocation-free.
 func TestFlightSampleZeroAllocs(t *testing.T) {
 	var nilF *FlightRecorder
-	off := NewFlightRecorder(4, 64, 0, 42)
-	on := NewFlightRecorder(4, 64, 0.5, 42)
+	off := NewFlightRecorder(64, 0, 42)
+	on := NewFlightRecorder(64, 0.5, 42)
 	if n := testing.AllocsPerRun(1000, func() {
 		if nilF.Sample(123456789) {
 			t.Fatal("nil recorder sampled")

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -43,9 +42,9 @@ type FlightAttempt struct {
 // and the full attempt chain.
 type FlightRecord struct {
 	Round int `json:"round"`
-	// Index is the request's global index within its round — the same
-	// index that labels its rng split, so the sampled set is a pure
-	// function of the seed, independent of worker count.
+	// Index is the request's index within its round; with Round it
+	// labels the request's rng split, so the sampled set is a pure
+	// function of the seed.
 	Index int `json:"index"`
 	User  int `json:"user"`
 	Item  int `json:"item"`
@@ -73,33 +72,22 @@ type FlightRecord struct {
 	Attempts []FlightAttempt `json:"attempts,omitempty"`
 }
 
-// FlightShard is one worker's append-only scratch for the current
-// round. Workers own exactly one shard each and never share it, so Add
-// is lock-free; the recorder folds and clears every shard at the round
-// barrier. The nil shard is inert.
-type FlightShard struct {
-	recs []FlightRecord
-}
-
-// Add appends one sampled record to the shard.
-func (s *FlightShard) Add(rec FlightRecord) {
-	if s != nil {
-		s.recs = append(s.recs, rec)
-	}
-}
-
-// FlightRecorder is a sampled, bounded flight recorder for a concurrent
-// request loop: per-worker scratch shards feeding a single bounded ring
-// of the most recent exemplar records.
+// FlightRecorder is a sampled, bounded flight recorder for a round-based
+// request loop: the round's sampled records collect in a pending slice
+// in request order and move into a single bounded ring of the most
+// recent exemplar records at the round barrier.
 //
 // Determinism contract: Sample is a pure function of (recorder seed,
-// request label), so with labels derived from global request indices the
-// sampled set is identical for any worker count. Eviction happens only
-// at the deterministic (round, index)-ordered merge — never per shard —
-// so the retained ring, and therefore every JSONL dump, is byte-stable
-// across worker counts and runs for a fixed seed. Sampling never draws
-// from the request's rng stream, so outcomes (and OutcomeHash) are
-// identical with sampling on or off.
+// request label), so with labels derived from request indices the
+// sampled set is fixed by the seed. Eviction happens only at the round
+// barrier, so the retained ring, and therefore every JSONL dump, is
+// byte-stable across runs for a fixed seed. Sampling never draws from
+// the request's rng stream, so outcomes (and OutcomeHash) are identical
+// with sampling on or off.
+//
+// Add and MergeRound belong to the goroutine that runs the request
+// loop; the ring's readers (Records, Len, the writers) may run on any
+// goroutine, which is what the ring's mutex is for.
 //
 // The nil *FlightRecorder is the disabled state: Sample reports false
 // and every other method is a no-op, which is what keeps the
@@ -108,7 +96,7 @@ type FlightRecorder struct {
 	threshold uint64 // Sample admits labels hashing below this in 2^64 space
 	seed      uint64
 	capacity  int
-	shards    []*FlightShard
+	pending   []FlightRecord // the current round's records, in request order
 
 	mu      sync.Mutex
 	ring    []FlightRecord // chronological (round, index), bounded at capacity
@@ -116,28 +104,20 @@ type FlightRecorder struct {
 	evicted atomic.Int64
 }
 
-// NewFlightRecorder builds a recorder with one scratch shard per worker,
-// a ring bounded at capacity records (default 256 when <= 0), and a
-// deterministic sampling rate in [0,1] derived from seed. rate <= 0
-// disables sampling (the recorder stays allocated but captures nothing);
-// rate >= 1 captures every request.
-func NewFlightRecorder(workers, capacity int, rate float64, seed uint64) *FlightRecorder {
-	if workers < 1 {
-		workers = 1
-	}
+// NewFlightRecorder builds a recorder with a ring bounded at capacity
+// records (default 256 when <= 0) and a deterministic sampling rate in
+// [0,1] derived from seed. rate <= 0 disables sampling (the recorder
+// stays allocated but captures nothing); rate >= 1 captures every
+// request.
+func NewFlightRecorder(capacity int, rate float64, seed uint64) *FlightRecorder {
 	if capacity <= 0 {
 		capacity = 256
 	}
-	f := &FlightRecorder{
+	return &FlightRecorder{
 		threshold: rateThreshold(rate),
 		seed:      seed,
 		capacity:  capacity,
-		shards:    make([]*FlightShard, workers),
 	}
-	for i := range f.shards {
-		f.shards[i] = &FlightShard{}
-	}
-	return f
 }
 
 // rateThreshold maps a sampling probability to a uint64 comparison
@@ -169,8 +149,8 @@ func splitmix64(x uint64) uint64 {
 // Sample reports whether the request identified by label is captured.
 // It is a pure function of (recorder seed, label): no state is read or
 // written and no rng draw is consumed, so same-seed runs capture the
-// same exemplar set at any worker count and the decision costs nothing
-// when it says no. Nil-safe (false) and allocation-free.
+// same exemplar set and the decision costs nothing when it says no.
+// Nil-safe (false) and allocation-free.
 func (f *FlightRecorder) Sample(label uint64) bool {
 	if f == nil || f.threshold == 0 {
 		return false
@@ -178,47 +158,33 @@ func (f *FlightRecorder) Sample(label uint64) bool {
 	return splitmix64(label^f.seed^flightSalt) < f.threshold
 }
 
-// Shard returns worker w's scratch shard (nil when the recorder is
-// disabled, which Add tolerates).
-func (f *FlightRecorder) Shard(w int) *FlightShard {
-	if f == nil {
-		return nil
+// Add appends one sampled record to the current round's pending slice.
+// Call it in request order; the record reaches the ring at the next
+// MergeRound.
+func (f *FlightRecorder) Add(rec FlightRecord) {
+	if f != nil {
+		f.pending = append(f.pending, rec)
 	}
-	return f.shards[w]
 }
 
-// MergeRound folds every shard's scratch into the bounded ring and
-// clears the scratch — the deterministic (round, index) merge, called
-// once per round at the barrier (single-threaded, after the workers
-// join). Eviction drops the oldest records first, so the ring always
-// holds the most recent capacity exemplars in chronological order
-// regardless of how requests were chunked across workers.
+// MergeRound moves the round's pending records into the bounded ring —
+// called once per round at the barrier. Eviction happens only here, and
+// drops the oldest records first, so the ring always holds the most
+// recent capacity exemplars in chronological order. Evicting per Add
+// instead would shift the whole ring once per record.
 func (f *FlightRecorder) MergeRound() {
-	if f == nil {
+	if f == nil || len(f.pending) == 0 {
 		return
 	}
-	var batch []FlightRecord
-	for _, sh := range f.shards {
-		batch = append(batch, sh.recs...)
-		sh.recs = sh.recs[:0]
-	}
-	if len(batch) == 0 {
-		return
-	}
-	sort.SliceStable(batch, func(a, b int) bool {
-		if batch[a].Round != batch[b].Round {
-			return batch[a].Round < batch[b].Round
-		}
-		return batch[a].Index < batch[b].Index
-	})
-	f.sampled.Add(int64(len(batch)))
+	f.sampled.Add(int64(len(f.pending)))
 	f.mu.Lock()
-	f.ring = append(f.ring, batch...)
+	f.ring = append(f.ring, f.pending...)
 	if over := len(f.ring) - f.capacity; over > 0 {
 		f.evicted.Add(int64(over))
 		f.ring = append(f.ring[:0], f.ring[over:]...)
 	}
 	f.mu.Unlock()
+	f.pending = f.pending[:0]
 }
 
 // Records returns a copy of the retained ring in chronological order.
@@ -261,8 +227,8 @@ func (f *FlightRecorder) Evicted() int64 {
 }
 
 // WriteJSONL writes the retained ring as JSONL, one record per line.
-// For a fixed seed the bytes are identical across runs and worker
-// counts (see the determinism contract above).
+// For a fixed seed the bytes are identical across runs (see the
+// determinism contract above).
 func (f *FlightRecorder) WriteJSONL(w io.Writer) error {
 	for _, rec := range f.Records() {
 		b, err := json.Marshal(rec)

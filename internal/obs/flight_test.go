@@ -20,12 +20,12 @@ func sampleSet(f *FlightRecorder, n int) []int {
 }
 
 func TestFlightSamplingDeterministicAndSeedSensitive(t *testing.T) {
-	a := NewFlightRecorder(1, 64, 0.1, 7)
-	b := NewFlightRecorder(8, 64, 0.1, 7) // worker count must not matter
-	c := NewFlightRecorder(1, 64, 0.1, 8) // seed must
+	a := NewFlightRecorder(64, 0.1, 7)
+	b := NewFlightRecorder(64, 0.1, 7)
+	c := NewFlightRecorder(64, 0.1, 8) // seed must matter
 	sa, sb, sc := sampleSet(a, 5000), sampleSet(b, 5000), sampleSet(c, 5000)
 	if !reflect.DeepEqual(sa, sb) {
-		t.Fatal("sampled set depends on worker count")
+		t.Fatal("same-seed recorders sampled different sets")
 	}
 	if reflect.DeepEqual(sa, sc) {
 		t.Fatal("different seeds sampled the identical set")
@@ -34,10 +34,10 @@ func TestFlightSamplingDeterministicAndSeedSensitive(t *testing.T) {
 	if math.Abs(got-0.1) > 0.03 {
 		t.Errorf("empirical rate %.3f far from configured 0.1", got)
 	}
-	if len(sampleSet(NewFlightRecorder(1, 64, 0, 7), 5000)) != 0 {
+	if len(sampleSet(NewFlightRecorder(64, 0, 7), 5000)) != 0 {
 		t.Error("rate 0 sampled something")
 	}
-	if len(sampleSet(NewFlightRecorder(1, 64, 1, 7), 500)) != 500 {
+	if len(sampleSet(NewFlightRecorder(64, 1, 7), 500)) != 500 {
 		t.Error("rate 1 did not sample everything")
 	}
 }
@@ -47,7 +47,7 @@ func TestFlightNilSafety(t *testing.T) {
 	if f.Sample(42) {
 		t.Error("nil recorder sampled")
 	}
-	f.Shard(0).Add(FlightRecord{}) // nil shard must be inert
+	f.Add(FlightRecord{})
 	f.MergeRound()
 	if f.Records() != nil || f.Len() != 0 || f.Sampled() != 0 || f.Evicted() != 0 {
 		t.Error("nil recorder not inert")
@@ -58,52 +58,16 @@ func TestFlightNilSafety(t *testing.T) {
 	}
 }
 
-// TestFlightMergeDeterministicAcrossSharding: the same sampled records
-// pushed through different worker shardings must merge to the same ring
-// and the same JSONL bytes — the per-worker layout is erased by the
-// (round, index) merge.
-func TestFlightMergeDeterministicAcrossSharding(t *testing.T) {
-	recs := make([]FlightRecord, 40)
-	for i := range recs {
-		recs[i] = FlightRecord{
-			Round: i / 10, Index: i % 10, User: i, Item: i % 3,
-			Served: i % 5, Intended: i % 5, LatencyMs: float64(i) * 1.5,
-			Attempts: []FlightAttempt{{Server: i % 5, Kind: "edge", Breaker: "closed", LatencyMs: float64(i), OK: true}},
-		}
-	}
-	run := func(workers int) []byte {
-		f := NewFlightRecorder(workers, 1000, 1, 1)
-		for r := 0; r < 4; r++ {
-			for i, rec := range recs {
-				if rec.Round != r {
-					continue
-				}
-				f.Shard(i % workers).Add(rec)
-			}
-			f.MergeRound()
-		}
-		var buf bytes.Buffer
-		if err := f.WriteJSONL(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	a, b, c := run(1), run(3), run(8)
-	if !bytes.Equal(a, b) || !bytes.Equal(a, c) {
-		t.Fatal("merged flight JSONL depends on worker sharding")
-	}
-	if len(a) == 0 {
-		t.Fatal("no bytes produced")
-	}
-}
-
 // TestFlightRingEviction: the capacity bound drops the oldest records at
 // the merge, keeping the newest in chronological order.
 func TestFlightRingEviction(t *testing.T) {
-	f := NewFlightRecorder(2, 5, 1, 1)
+	f := NewFlightRecorder(5, 1, 1)
 	for r := 0; r < 4; r++ {
 		for i := 0; i < 3; i++ {
-			f.Shard(i % 2).Add(FlightRecord{Round: r, Index: i})
+			f.Add(FlightRecord{Round: r, Index: i})
+		}
+		if r == 0 && (f.Len() != 0 || f.Sampled() != 0) {
+			t.Fatalf("records reached the ring before the barrier: len=%d sampled=%d", f.Len(), f.Sampled())
 		}
 		f.MergeRound()
 	}
@@ -124,8 +88,8 @@ func TestFlightRingEviction(t *testing.T) {
 }
 
 func TestFlightDumpRoundTrip(t *testing.T) {
-	f := NewFlightRecorder(1, 16, 1, 1)
-	f.Shard(0).Add(FlightRecord{
+	f := NewFlightRecorder(16, 1, 1)
+	f.Add(FlightRecord{
 		Round: 3, Index: 7, User: 2, Item: 1, Intended: 4, Served: -1,
 		Retries: 2, Failovers: 1, CloudFallback: true, Degraded: true,
 		LatencyMs: 120.5, LatencyDeltaMs: 100.25, BackhaulMB: 30,
@@ -180,4 +144,148 @@ func TestFlightChromeWaterfall(t *testing.T) {
 			t.Errorf("waterfall missing %s:\n%s", want, out)
 		}
 	}
+}
+
+// FuzzFlightJSONLRoundTrip drives fuzzed records through the recorder —
+// Add in request order, MergeRound at each round barrier, eviction at a
+// fuzzed capacity — then writes the ring with WriteDump and WriteJSONL
+// and reads both back with ReadFlightJSONL. Every retained record must
+// come back reflect.DeepEqual to Records(), the dump header must carry
+// the reason, round, time and record count, and the ring's counters must
+// account every record added. JSON has no NaN or ±Inf, so a non-finite
+// float anywhere in the ring (or in the dump's time) must fail the write
+// rather than change silently. Strings are made valid UTF-8 first: the
+// encoder replaces invalid bytes, and the recorder only ever stores the
+// fixed ASCII kind and breaker names.
+func FuzzFlightJSONLRoundTrip(f *testing.F) {
+	f.Add(uint8(5), uint8(12), []byte{1, 2, 3, 0x81, 4, 5, 6, 7, 8, 9, 10, 0x90}, "edge", 12.5, "slo-burn:availability", 3.0)
+	f.Add(uint8(0), uint8(40), []byte{0xff, 0x10, 0x22, 0x33, 0x44}, "failover", -0.125, "breaker-spike", 7.5)
+	f.Add(uint8(4), uint8(1), []byte{0, 7, 1, 1}, "cloud", math.NaN(), "recovery-gate", 1.0)
+	f.Add(uint8(8), uint8(6), []byte{2, 4, 8, 16, 0x0f, 0x17}, "hedge", math.Inf(-1), "r", 0.0)
+	f.Add(uint8(2), uint8(3), []byte{1}, "edge", 1.0, "r", math.Inf(1))
+	f.Fuzz(func(t *testing.T, capacity, n uint8, data []byte, kind string, x float64, reason string, nowS float64) {
+		kind = strings.ToValidUTF8(kind, "?")
+		reason = strings.ToValidUTF8(reason, "?")
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		// num is a finite value from the data stream, or the fuzzed x
+		// when the stream's byte says so.
+		num := func() float64 {
+			b := next()
+			if b%8 == 7 {
+				return x
+			}
+			return float64(int8(b)) / 8
+		}
+
+		fr := NewFlightRecorder(int(capacity), 1, 1)
+		round, index := 0, 0
+		added := int(n % 64)
+		for r := 0; r < added; r++ {
+			b := next()
+			if b&0x80 != 0 { // round barrier
+				fr.MergeRound()
+				round++
+				index = 0
+			}
+			rec := FlightRecord{
+				Round: round, Index: index, User: int(b % 11), Item: int(b % 5),
+				Intended: int(b%9) - 1, Served: int(b%13) - 1,
+				Retries: int(b % 3), Failovers: int(b % 2),
+				Hedged: b&1 != 0, HedgeWon: b&2 != 0, CloudFallback: b&4 != 0,
+				DeadlineExceeded: b&8 != 0, Degraded: b&16 != 0,
+				LatencyMs: num(), LatencyDeltaMs: num(), BackhaulMB: num(),
+			}
+			for a := 0; a < int(b%4); a++ {
+				ab := next()
+				at := FlightAttempt{
+					Server: int(ab%7) - 1, Kind: kind, Retries: int(ab % 3),
+					LatencyMs: num(), BudgetMs: num(), OK: ab&1 != 0,
+				}
+				if ab&2 != 0 {
+					at.Breaker = []string{"closed", "open", "half-open", kind}[ab%4]
+				}
+				rec.Attempts = append(rec.Attempts, at)
+			}
+			fr.Add(rec)
+			index++
+		}
+		fr.MergeRound()
+
+		want := fr.Records()
+		wantCap := int(capacity)
+		if wantCap == 0 {
+			wantCap = 256
+		}
+		wantLen := min(added, wantCap)
+		if fr.Sampled() != int64(added) || fr.Evicted() != int64(added-wantLen) || fr.Len() != wantLen || len(want) != wantLen {
+			t.Fatalf("added %d at capacity %d: sampled=%d evicted=%d len=%d records=%d",
+				added, wantCap, fr.Sampled(), fr.Evicted(), fr.Len(), len(want))
+		}
+
+		finite := !math.IsNaN(nowS) && !math.IsInf(nowS, 0)
+		ringFinite := true
+		check := func(v float64) {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				ringFinite = false
+			}
+		}
+		for _, rec := range want {
+			check(rec.LatencyMs)
+			check(rec.LatencyDeltaMs)
+			check(rec.BackhaulMB)
+			for _, at := range rec.Attempts {
+				check(at.LatencyMs)
+				check(at.BudgetMs)
+			}
+		}
+
+		var dump bytes.Buffer
+		err := fr.WriteDump(&dump, reason, round, nowS)
+		if !finite || !ringFinite {
+			if err == nil {
+				t.Fatalf("WriteDump accepted a non-finite float (now_s %v, ring finite %v)", nowS, ringFinite)
+			}
+		} else {
+			if err != nil {
+				t.Fatalf("WriteDump: %v", err)
+			}
+			got, headers, err := ReadFlightJSONL(&dump)
+			if err != nil {
+				t.Fatalf("ReadFlightJSONL(dump): %v", err)
+			}
+			wantH := FlightDumpHeader{Dump: reason, Round: round, NowS: nowS, Records: len(want)}
+			if len(headers) != 1 || headers[0] != wantH {
+				t.Fatalf("dump headers %+v, want [%+v]", headers, wantH)
+			}
+			if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+				t.Fatalf("dump round trip changed the ring:\n got %+v\nwant %+v", got, want)
+			}
+		}
+
+		var ring bytes.Buffer
+		err = fr.WriteJSONL(&ring)
+		if !ringFinite {
+			if err == nil {
+				t.Fatal("WriteJSONL accepted a non-finite float")
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("WriteJSONL: %v", err)
+		}
+		got, headers, err := ReadFlightJSONL(&ring)
+		if err != nil || len(headers) != 0 {
+			t.Fatalf("ReadFlightJSONL(ring): err=%v headers=%+v", err, headers)
+		}
+		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("JSONL round trip changed the ring:\n got %+v\nwant %+v", got, want)
+		}
+	})
 }

@@ -8,7 +8,6 @@
 package rng
 
 import (
-	"math"
 	"math/bits"
 	"math/rand"
 )
@@ -137,32 +136,6 @@ func (s *Stream) Perm(n int) []int { return s.r.Perm(n) }
 
 // Shuffle permutes the n elements using swap.
 func (s *Stream) Shuffle(n int, swap func(i, j int)) { s.r.Shuffle(n, swap) }
-
-// Pick returns a uniformly random element index weighted by w (weights
-// must be non-negative and not all zero; otherwise it falls back to
-// uniform).
-func (s *Stream) Pick(w []float64) int {
-	total := 0.0
-	for _, v := range w {
-		if v > 0 {
-			total += v
-		}
-	}
-	if total <= 0 || math.IsNaN(total) || math.IsInf(total, 0) {
-		return s.IntN(len(w))
-	}
-	x := s.r.Float64() * total
-	for i, v := range w {
-		if v <= 0 {
-			continue
-		}
-		x -= v
-		if x < 0 {
-			return i
-		}
-	}
-	return len(w) - 1
-}
 
 // Zipf returns a sampler over {0, …, n−1} with exponent skew > 1 is not
 // required; the stdlib generator needs s>1, so skew values are mapped to

@@ -164,36 +164,6 @@ func TestZipfPanicsOnEmpty(t *testing.T) {
 	New(1).NewZipf(1, 0)
 }
 
-func TestPickWeighted(t *testing.T) {
-	s := New(12)
-	w := []float64{0, 1, 3}
-	counts := make([]int, 3)
-	for i := 0; i < 40000; i++ {
-		counts[s.Pick(w)]++
-	}
-	if counts[0] != 0 {
-		t.Errorf("zero-weight element picked %d times", counts[0])
-	}
-	ratio := float64(counts[2]) / float64(counts[1])
-	if math.Abs(ratio-3) > 0.3 {
-		t.Errorf("weight ratio = %v, want ≈3", ratio)
-	}
-}
-
-func TestPickDegenerateWeightsFallsBackToUniform(t *testing.T) {
-	s := New(13)
-	w := []float64{0, 0, 0}
-	counts := make([]int, 3)
-	for i := 0; i < 3000; i++ {
-		counts[s.Pick(w)]++
-	}
-	for i, c := range counts {
-		if c == 0 {
-			t.Errorf("uniform fallback never picked index %d", i)
-		}
-	}
-}
-
 func TestPermAndShuffle(t *testing.T) {
 	s := New(14)
 	p := s.Perm(20)

@@ -48,7 +48,7 @@ func TestSamplingOffPathZeroAllocs(t *testing.T) {
 		})
 	}
 	baseline := measure(nil)
-	gated := measure(obs.NewFlightRecorder(4, 64, 0, 1))
+	gated := measure(obs.NewFlightRecorder(64, 0, 1))
 	if gated != baseline {
 		t.Fatalf("sampling-off gate costs %.2f allocs/op (baseline %.2f), want 0 extra", gated, baseline)
 	}

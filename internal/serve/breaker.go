@@ -34,6 +34,21 @@ func (s BreakerState) String() string {
 	}
 }
 
+// admits is the breaker admission rule every routed request runs: closed
+// admits everyone, open admits no one, and half-open admits the request
+// as a probe when its seeded uniform draw in [0,1) is below
+// probeFraction.
+func (s BreakerState) admits(probeDraw, probeFraction float64) bool {
+	switch s {
+	case Closed:
+		return true
+	case HalfOpen:
+		return probeDraw < probeFraction
+	default:
+		return false
+	}
+}
+
 // BreakerConfig tunes the per-server circuit breakers.
 type BreakerConfig struct {
 	// FailureThreshold is the number of consecutive failed attempts that
@@ -106,24 +121,6 @@ func (b *Breaker) tick(now units.Seconds) {
 		b.state = HalfOpen
 		b.probeOK = 0
 		b.transitions++
-	}
-}
-
-// Admit reports whether a request may use this server at virtual time
-// now. probeDraw is the request's seeded uniform draw in [0,1): while
-// half-open, only requests with probeDraw < ProbeFraction are admitted
-// (as probes). Closed admits everyone; open admits no one.
-func (b *Breaker) Admit(now units.Seconds, probeDraw float64) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.tick(now)
-	switch b.state {
-	case Closed:
-		return true
-	case HalfOpen:
-		return probeDraw < b.cfg.ProbeFraction
-	default:
-		return false
 	}
 }
 

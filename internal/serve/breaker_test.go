@@ -1,18 +1,28 @@
 package serve
 
-import "testing"
+import (
+	"testing"
+
+	"idde/internal/units"
+)
 
 func TestBreakerStateMachine(t *testing.T) {
-	b := NewBreaker(BreakerConfig{
+	cfg := BreakerConfig{
 		FailureThreshold: 3,
 		OpenTimeout:      2,
 		ProbeFraction:    0.5,
 		ProbeSuccesses:   2,
-	})
+	}
+	b := NewBreaker(cfg)
+	// admit applies the data plane's admission rule to the breaker's
+	// state at now, as evalRequest does on the round snapshot.
+	admit := func(now units.Seconds, probeDraw float64) bool {
+		return b.State(now).admits(probeDraw, cfg.ProbeFraction)
+	}
 	if s := b.State(0); s != Closed {
 		t.Fatalf("new breaker state = %v, want closed", s)
 	}
-	if !b.Admit(0, 0.99) {
+	if !admit(0, 0.99) {
 		t.Fatal("closed breaker must admit everyone")
 	}
 
@@ -26,7 +36,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	if s := b.State(0); s != Open {
 		t.Fatalf("state after 3 failures = %v, want open", s)
 	}
-	if b.Admit(1, 0.0) {
+	if admit(1, 0.0) {
 		t.Fatal("open breaker must reject")
 	}
 	if got := b.Opens(); got != 1 {
@@ -48,10 +58,10 @@ func TestBreakerStateMachine(t *testing.T) {
 	if s := b.State(2.5); s != HalfOpen {
 		t.Fatalf("state after open timeout = %v, want half-open", s)
 	}
-	if b.Admit(2.5, 0.6) {
+	if admit(2.5, 0.6) {
 		t.Fatal("half-open must reject draws >= probe fraction")
 	}
-	if !b.Admit(2.5, 0.4) {
+	if !admit(2.5, 0.4) {
 		t.Fatal("half-open must admit draws < probe fraction")
 	}
 

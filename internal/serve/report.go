@@ -114,8 +114,8 @@ type SoakReport struct {
 	FlightDumps   int64 `json:"flight_dumps,omitempty"`
 
 	// OutcomeHash fingerprints every request outcome in fold order;
-	// equal seeds (with hedging off) must produce equal hashes for any
-	// worker count, with flight sampling on or off.
+	// equal seeds (with hedging off) must produce equal hashes, with
+	// flight sampling on or off.
 	OutcomeHash string `json:"outcome_hash"`
 
 	WallSeconds float64 `json:"wall_seconds"`

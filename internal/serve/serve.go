@@ -1,5 +1,5 @@
 // Package serve is the resilient serving data plane in front of the
-// IDDE solver: a concurrent request loop that routes every user request
+// IDDE solver: a round-based request loop that routes every user request
 // to a replica according to the current (α, σ) strategy, wrapped in the
 // resilience stack a production edge store needs — per-server circuit
 // breakers (closed/open/half-open with seeded probe admission),
@@ -13,13 +13,13 @@
 // swapping the routing plan.
 //
 // The engine runs on a virtual clock in rounds (ticks): each round's
-// requests are evaluated in parallel against an immutable snapshot
-// (plan generation, breaker states, fault view), and all mutable state
-// — breakers, health scores, degradation accounting, re-plan triggers —
-// is folded at the round barrier in request order. Because every
-// request outcome is a pure function of the snapshot and a per-request
-// labeled rng split, outcomes are bit-identical for a fixed seed
-// regardless of worker count; wall-clock only ever appears in
+// requests are evaluated one after another on the soak goroutine
+// against an immutable snapshot (plan generation, breaker states, fault
+// view), and all mutable state — breakers, health scores, degradation
+// accounting, re-plan triggers — is folded at the round barrier in
+// request order. Because every request outcome is a pure function of
+// the snapshot and a per-request labeled rng split, outcomes are
+// bit-identical for a fixed seed; wall-clock only ever appears in
 // throughput accounting, never in an outcome.
 //
 // Fault injection is chaos-in-the-loop: a chaos.Campaign acts as the
@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -54,9 +53,6 @@ import (
 type Options struct {
 	// Seed drives every request draw, loss draw and probe draw.
 	Seed uint64
-	// Workers bounds the parallel request evaluators per round
-	// (default GOMAXPROCS). Outcomes are identical for any value.
-	Workers int
 	// RPS is the sustained request rate per virtual second (default 500).
 	RPS int
 	// Tick is the round length in virtual seconds (default 1).
@@ -131,9 +127,6 @@ type Options struct {
 
 // withDefaults fills the zero fields.
 func (o Options) withDefaults() Options {
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
 	if o.RPS <= 0 {
 		o.RPS = 500
 	}
@@ -293,7 +286,7 @@ func NewEngine(healthy *model.Instance, st model.Strategy, opt Options) (*Engine
 		e.breaker[i] = NewBreaker(opt.Breaker)
 	}
 	if opt.FlightRate > 0 {
-		e.flight = obs.NewFlightRecorder(opt.Workers, opt.FlightCap, opt.FlightRate, opt.Seed)
+		e.flight = obs.NewFlightRecorder(opt.FlightCap, opt.FlightRate, opt.Seed)
 	}
 	e.flightSink = opt.FlightSink
 	if opt.SLO.Enabled {
@@ -457,10 +450,11 @@ func (e *Engine) fvStale(now units.Seconds) bool {
 }
 
 // evalRequest resolves one request against the snapshot. It is a pure
-// function of (v, j, k, s): no shared state is read or written, which
-// is what makes outcomes independent of worker interleaving. The draw
-// order within the stream is part of the determinism contract — do not
-// reorder draws without regenerating baselines.
+// function of (v, j, k, s): no shared state is read or written, so every
+// request of a round sees the same snapshot and the fold can run after
+// the whole round. The draw order within the stream is part of the
+// determinism contract — do not reorder draws without regenerating
+// baselines.
 //
 // The outcome is written into *out in place. out's visit list is reused
 // as the new list's buffer (the previous round's list for the same slot:
@@ -501,16 +495,7 @@ func evalRequest(v *view, j, k int, s *rng.Stream, out *RequestOutcome, rec *obs
 	// the re-planner re-attaches the user.
 	attachmentDown := a.Allocated() && v.fv.Top.Servers[a.Server].Failed
 
-	admit := func(o int) bool {
-		switch v.brState[o] {
-		case Closed:
-			return true
-		case HalfOpen:
-			return probeDraw < opt.Breaker.ProbeFraction
-		default:
-			return false
-		}
-	}
+	admit := func(o int) bool { return v.brState[o].admits(probeDraw, opt.Breaker.ProbeFraction) }
 
 	// tried lists the sources visited so far; a request visits a few at
 	// most, so a slice beats a map and stays off the heap.
@@ -760,7 +745,7 @@ func (e *Engine) RunSoak(ctx context.Context) (*SoakReport, error) {
 	rep := newSoakReport(&opt, rounds, perRound)
 	hash := newOutcomeHash()
 	outcomes := make([]RequestOutcome, perRound)
-	reqs := make([][2]int, perRound)
+	s := new(rng.Stream) // re-rooted per request: no per-request allocation
 
 	var replanner *asyncReplanner
 	if opt.AsyncReplan {
@@ -804,46 +789,26 @@ func (e *Engine) RunSoak(ctx context.Context) (*SoakReport, error) {
 			}
 		}
 
-		// Draw the round's request mix, then evaluate in parallel.
+		// Draw and evaluate the round's requests in request order. The
+		// mix stream and the per-request streams are independent, so
+		// interleaving their draws changes no outcome.
 		rs := root.SplitN("round", r)
-		for i := range reqs {
-			reqs[i] = pairs[rs.IntN(len(pairs))]
-		}
 		base := r * perRound
-		var wg sync.WaitGroup
-		chunk := (perRound + opt.Workers - 1) / opt.Workers
-		for w := 0; w < opt.Workers; w++ {
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > perRound {
-				hi = perRound
+		for i := range outcomes {
+			p := pairs[rs.IntN(len(pairs))]
+			reqStreams.Into(s, base+i)
+			// The sampling decision hashes the stream's seed — a pure
+			// function of the request index — so no rng draw is consumed
+			// and outcomes are the same with sampling on or off.
+			var rec *obs.FlightRecord
+			if e.flight.Sample(s.Seed()) {
+				rec = &obs.FlightRecord{Round: r, Index: i}
 			}
-			if lo >= hi {
-				break
+			evalRequest(v, p[0], p[1], s, &outcomes[i], rec)
+			if rec != nil {
+				e.flight.Add(*rec)
 			}
-			wg.Add(1)
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				sh := e.flight.Shard(w)
-				s := new(rng.Stream) // re-rooted per request: no per-request allocation
-				for i := lo; i < hi; i++ {
-					reqStreams.Into(s, base+i)
-					// The sampling decision hashes the stream's seed — a
-					// pure function of the global request index — so the
-					// sampled set is identical at any worker count and no
-					// rng draw is consumed (outcomes are unchanged).
-					var rec *obs.FlightRecord
-					if e.flight.Sample(s.Seed()) {
-						rec = &obs.FlightRecord{Round: r, Index: i}
-					}
-					evalRequest(v, reqs[i][0], reqs[i][1], s, &outcomes[i], rec)
-					if rec != nil {
-						sh.Add(*rec)
-					}
-				}
-			}(w, lo, hi)
 		}
-		wg.Wait()
 
 		// Barrier fold, in request order: breakers, health, metrics,
 		// degradation accounting, hash, flight merge, SLO burn rates.
@@ -880,7 +845,6 @@ type roundAgg struct {
 	hedged, cloudServed                    int
 	open                                   int
 	latencyOK                              int // requests at or under the latency SLO threshold
-	latencySum                             float64
 	latencyDeltaS                          float64
 	backhaulMB                             float64
 }
@@ -892,10 +856,10 @@ func (e *Engine) foldRound(r int, now units.Seconds, outcomes []RequestOutcome, 
 	const healthGamma = 0.05
 	var agg roundAgg
 	end := now + e.opt.Tick
+	e.mu.Lock() // health is read by GET /state
 	for i := range outcomes {
 		o := &outcomes[i]
 		agg.requests++
-		agg.latencySum += float64(o.Latency)
 		agg.retries += o.Retries
 		agg.failovers += o.Failovers
 		if o.CloudFallback {
@@ -931,6 +895,7 @@ func (e *Engine) foldRound(r int, now units.Seconds, outcomes []RequestOutcome, 
 		rep.observeOutcome(o)
 		writeOutcomeHash(hash, r, i, o)
 	}
+	e.mu.Unlock()
 	for _, b := range e.breaker {
 		if b.State(end) == Open {
 			agg.open++
@@ -938,8 +903,8 @@ func (e *Engine) foldRound(r int, now units.Seconds, outcomes []RequestOutcome, 
 	}
 
 	// Flight merge + SLO burn rates, then triggered dumps. The merge is
-	// the only point records enter the ring (and the only point eviction
-	// happens), so the retained exemplar set is worker-count-independent.
+	// the only point records enter the ring, and the only point eviction
+	// happens.
 	e.flight.MergeRound()
 	reasons := e.observeSLOs(now, agg)
 	if agg.open > e.prevOpen {

@@ -84,43 +84,6 @@ func TestSoakHealthyBaseline(t *testing.T) {
 	}
 }
 
-// TestSoakDeterministicAcrossWorkers is the determinism contract: with
-// hedging off, a fixed seed produces bit-identical outcomes for any
-// worker count.
-func TestSoakDeterministicAcrossWorkers(t *testing.T) {
-	in := genInstance(t, 10, 60, 4, 11)
-	st := solved(t, in)
-	camp := outageCampaign(in, st)
-
-	run := func(workers int) *SoakReport {
-		opt := testOptions(7)
-		opt.Workers = workers
-		opt.Campaign = camp
-		rep, err := Run(context.Background(), in, st, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	a, b := run(1), run(8)
-	if a.OutcomeHash != b.OutcomeHash {
-		t.Errorf("outcome hash differs across worker counts: %s vs %s", a.OutcomeHash, b.OutcomeHash)
-	}
-	if a.Degraded != b.Degraded || a.Retries != b.Retries || a.Replans != b.Replans {
-		t.Errorf("aggregates differ across worker counts: %+v vs %+v", a, b)
-	}
-
-	opt := testOptions(8) // different seed must not collide
-	opt.Campaign = camp
-	c, err := Run(context.Background(), in, st, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.OutcomeHash == a.OutcomeHash {
-		t.Error("different seeds produced identical outcome hashes")
-	}
-}
-
 // outageCampaign scripts the acceptance scenario: the most-fetched-from
 // server dies mid-run and comes back later.
 func outageCampaign(in *model.Instance, st model.Strategy) *chaos.Campaign {

@@ -171,7 +171,3 @@ func (e *Engine) DumpFlight(w io.Writer, reason string) error {
 	round := int(float64(now) / float64(e.opt.Tick))
 	return e.flight.WriteDump(w, reason, round, float64(now))
 }
-
-// Flight exposes the engine's flight recorder (nil when FlightRate is
-// 0) — the GET /flight payload and the test seam for the ring.
-func (e *Engine) Flight() *obs.FlightRecorder { return e.flight }
