@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand/v2"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -107,6 +109,79 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 	if !math.IsInf(HistBucketUpper(histBuckets-1), 1) {
 		t.Fatal("last bucket upper bound must be +Inf")
+	}
+}
+
+// TestObserveAllMatchesObserve feeds random batches to ObserveAll and
+// the same values one by one to Observe: buckets, count, sum bits and
+// quantile estimates must agree after every batch. A reader goroutine
+// exports the registry holding the batched histograms throughout, so
+// under -race the batch path is checked against concurrent readers.
+// Most trials draw finite non-negative latencies; every fourth also
+// draws negatives, NaN and ±Inf, which pin their bucket but make every
+// later sum NaN or infinite, so each trial gets fresh histograms.
+func TestObserveAllMatchesObserve(t *testing.T) {
+	r := rand.New(rand.NewPCG(29, 1))
+	reg := NewRegistry()
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if err := reg.WritePrometheus(io.Discard); err != nil {
+				t.Error(err)
+				return
+			}
+			_ = reg.Snapshot()
+		}
+	}()
+	defer func() { close(done); wg.Wait() }()
+
+	special := []float64{-3, math.NaN(), math.Inf(1), math.Inf(-1), 0, 2, math.MaxFloat64}
+	for trial := 0; trial < 40; trial++ {
+		batched := reg.Histogram(fmt.Sprintf("trial_%d", trial))
+		single := &Histogram{}
+		for batch := 0; batch < 8; batch++ {
+			vs := make([]float64, r.IntN(400))
+			for i := range vs {
+				switch {
+				case trial%4 == 3 && r.IntN(16) == 0:
+					vs[i] = special[r.IntN(len(special))]
+				case r.IntN(3) == 0:
+					vs[i] = 2 * r.Float64() // bucket 0
+				default:
+					vs[i] = math.Ldexp(1+r.Float64(), r.IntN(40))
+				}
+			}
+			batched.ObserveAll(vs)
+			for _, v := range vs {
+				single.Observe(v)
+			}
+			if got, want := batched.Buckets(), single.Buckets(); got != want {
+				t.Fatalf("trial %d batch %d: buckets %v, want %v", trial, batch, got, want)
+			}
+			if got, want := batched.Count(), single.Count(); got != want {
+				t.Fatalf("trial %d batch %d: count %d, want %d", trial, batch, got, want)
+			}
+			// A NaN sum's payload depends on the add's operand order,
+			// which the compiler may pick; any NaN matches any NaN.
+			got, want := batched.Sum(), single.Sum()
+			if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Fatalf("trial %d batch %d: sum %v (bits %#x), want %v (bits %#x)",
+					trial, batch, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+			for _, p := range []float64{0, 0.5, 0.9, 0.99, 0.999, 1} {
+				if got, want := batched.Quantile(p), single.Quantile(p); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("trial %d batch %d: Quantile(%v) = %v, want %v", trial, batch, p, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -57,6 +57,8 @@ const histBuckets = 63
 // observations. Fixed power-of-two bucket boundaries keep Observe
 // allocation-free and branch-cheap (one bits.Len64), which is what lets
 // engines histogram per-round quantities without a tuning knob.
+// ObserveAll takes a batch for the cost of one atomic add per bucket it
+// touches and one sum update.
 type Histogram struct {
 	counts  [histBuckets]atomic.Int64
 	n       atomic.Int64
@@ -97,6 +99,38 @@ func (h *Histogram) Observe(v float64) {
 	for {
 		old := h.sumBits.Load()
 		s := math.Float64frombits(old) + v
+		if h.sumBits.CompareAndSwap(old, math.Float64bits(s)) {
+			return
+		}
+	}
+}
+
+// ObserveAll records every value of vs, in slice order. Buckets, count
+// and sum bits end up as after len(vs) Observe calls: bucket counts are
+// summed locally and added once per non-empty bucket, and the sum is
+// folded from the current value in slice order and stored with one
+// compare-and-swap, the whole fold retried if another writer got in
+// first.
+func (h *Histogram) ObserveAll(vs []float64) {
+	if h == nil || len(vs) == 0 {
+		return
+	}
+	var counts [histBuckets]int64
+	for _, v := range vs {
+		counts[histBucketOf(v)]++
+	}
+	for b, c := range counts {
+		if c != 0 {
+			h.counts[b].Add(c)
+		}
+	}
+	h.n.Add(int64(len(vs)))
+	for {
+		old := h.sumBits.Load()
+		s := math.Float64frombits(old)
+		for _, v := range vs {
+			s += v
+		}
 		if h.sumBits.CompareAndSwap(old, math.Float64bits(s)) {
 			return
 		}

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"sync"
 
 	"idde/internal/units"
 )
@@ -86,13 +85,12 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 // Breaker is one server's circuit breaker. It runs on the engine's
 // virtual clock: state transitions depend only on the sequence of
 // recorded outcomes and the times they are recorded at, which is what
-// keeps the whole data plane deterministic for a fixed seed. Methods are
-// mutex-guarded so the live (wall-clock) front-end can share breakers
-// with the soak loop.
+// keeps the whole data plane deterministic for a fixed seed. A Breaker
+// is not safe for concurrent use: the engine guards its breakers with
+// its own lock, which the round barrier already holds while it records.
 type Breaker struct {
 	cfg BreakerConfig
 
-	mu          sync.Mutex
 	state       BreakerState
 	consecFail  int
 	probeOK     int
@@ -109,13 +107,11 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 // State reports the breaker's state at virtual time now, applying the
 // open→half-open timeout transition if it is due.
 func (b *Breaker) State(now units.Seconds) BreakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.tick(now)
 	return b.state
 }
 
-// tick applies time-driven transitions. Callers hold b.mu.
+// tick applies time-driven transitions.
 func (b *Breaker) tick(now units.Seconds) {
 	if b.state == Open && now >= b.openedAt+b.cfg.OpenTimeout {
 		b.state = HalfOpen
@@ -126,10 +122,8 @@ func (b *Breaker) tick(now units.Seconds) {
 
 // Record folds one attempt outcome into the breaker at virtual time now.
 // The soak loop replays outcomes in deterministic request order at each
-// round barrier; the live front-end records as requests complete.
+// round barrier.
 func (b *Breaker) Record(now units.Seconds, success bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.tick(now)
 	if success {
 		b.consecFail = 0
@@ -157,7 +151,7 @@ func (b *Breaker) Record(now units.Seconds, success bool) {
 	}
 }
 
-// open trips the breaker. Callers hold b.mu.
+// open trips the breaker.
 func (b *Breaker) open(now units.Seconds) {
 	b.state = Open
 	b.openedAt = now
@@ -168,14 +162,10 @@ func (b *Breaker) open(now units.Seconds) {
 
 // Transitions reports the number of state changes so far.
 func (b *Breaker) Transitions() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	return b.transitions
 }
 
 // Opens reports how many times the breaker tripped open.
 func (b *Breaker) Opens() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	return b.opens
 }

@@ -3,7 +3,8 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"time"
 
 	"idde/internal/units"
@@ -49,8 +50,13 @@ type PhaseStats struct {
 	LatencyDeltaS float64 `json:"latency_delta_s"`
 	BackhaulMB    float64 `json:"backhaul_mb"`
 
-	latencies []float64
+	// spans are the ranges of the soak's latency buffer that the phase's
+	// rounds filled, in round order; adjacent rounds share one span.
+	spans []span
 }
+
+// span is a [start, end) range of SoakReport.latMs.
+type span struct{ start, end int }
 
 // RoundStat is one row of the compact per-round timeline.
 type RoundStat struct {
@@ -127,38 +133,42 @@ type SoakReport struct {
 	Phases   []*PhaseStats `json:"phases"`
 	Timeline []RoundStat   `json:"timeline,omitempty"`
 
-	phaseIdx     map[string]*PhaseStats
 	everFaulted  bool
 	streak       int
-	roundLatMs   []float64
-	roundLatSum  float64
+	latMs        []float64 // every request's latency in ms, in fold order
+	roundStart   int       // index in latMs of the current round's first request
 	lastDegraded int
 }
 
+// newSoakReport sizes the latency buffer and the timeline for the whole
+// soak up front, so the round barrier never grows them.
 func newSoakReport(opt *Options, rounds, perRound int) *SoakReport {
 	return &SoakReport{
-		Seed:       opt.Seed,
-		RPS:        opt.RPS,
-		TickS:      float64(opt.Tick),
-		DurationS:  float64(opt.Duration),
-		Rounds:     rounds,
-		PerRound:   perRound,
-		HedgeOn:    opt.Hedge > 0,
-		phaseIdx:   map[string]*PhaseStats{},
-		roundLatMs: make([]float64, 0, perRound),
+		Seed:      opt.Seed,
+		RPS:       opt.RPS,
+		TickS:     float64(opt.Tick),
+		DurationS: float64(opt.Duration),
+		Rounds:    rounds,
+		PerRound:  perRound,
+		HedgeOn:   opt.Hedge > 0,
+		Timeline:  make([]RoundStat, 0, rounds),
+		latMs:     make([]float64, 0, rounds*perRound),
 	}
 }
 
-// observeOutcome accumulates one outcome into the round scratch buffer
-// (called from the fold, in request order).
+// observeOutcome appends one outcome's latency to the soak's latency
+// buffer. foldRound calls it for every request, in request order.
 func (sr *SoakReport) observeOutcome(o *RequestOutcome) {
-	ms := o.Latency.Millis()
-	sr.roundLatMs = append(sr.roundLatMs, ms)
-	sr.roundLatSum += ms
+	sr.latMs = append(sr.latMs, o.Latency.Millis())
 }
 
+// roundLatencies returns the current round's latencies in request
+// order, as far as foldRound has appended them.
+func (sr *SoakReport) roundLatencies() []float64 { return sr.latMs[sr.roundStart:] }
+
 // observeRound classifies the finished round into a phase and merges
-// the round's aggregate in.
+// the round's aggregate in. RunSoak calls it after foldRound, so the
+// round's latencies are all in the buffer.
 func (sr *SoakReport) observeRound(r int, now units.Seconds, agg roundAgg, fvEmpty bool, epoch int) {
 	phase := PhaseHealthy
 	switch {
@@ -169,10 +179,9 @@ func (sr *SoakReport) observeRound(r int, now units.Seconds, agg roundAgg, fvEmp
 		phase = PhaseRecovered
 	}
 
-	ps := sr.phaseIdx[phase]
+	ps := sr.Phase(phase)
 	if ps == nil {
 		ps = &PhaseStats{Phase: phase}
-		sr.phaseIdx[phase] = ps
 		sr.Phases = append(sr.Phases, ps)
 	}
 	ps.Rounds++
@@ -186,7 +195,12 @@ func (sr *SoakReport) observeRound(r int, now units.Seconds, agg roundAgg, fvEmp
 	ps.CloudServed += int64(agg.cloudServed)
 	ps.LatencyDeltaS += agg.latencyDeltaS
 	ps.BackhaulMB += agg.backhaulMB
-	ps.latencies = append(ps.latencies, sr.roundLatMs...)
+	end := len(sr.latMs)
+	if last := len(ps.spans) - 1; last >= 0 && ps.spans[last].end == sr.roundStart {
+		ps.spans[last].end = end
+	} else {
+		ps.spans = append(ps.spans, span{sr.roundStart, end})
+	}
 
 	sr.Issued += int64(agg.requests)
 	sr.Served += int64(agg.requests)
@@ -212,42 +226,44 @@ func (sr *SoakReport) observeRound(r int, now units.Seconds, agg roundAgg, fvEmp
 
 	mean := 0.0
 	if agg.requests > 0 {
-		mean = sr.roundLatSum / float64(agg.requests)
+		sum := 0.0
+		for _, v := range sr.latMs[sr.roundStart:end] {
+			sum += v
+		}
+		mean = sum / float64(agg.requests)
 	}
 	sr.Timeline = append(sr.Timeline, RoundStat{
 		Round: r, Phase: phase, Epoch: epoch,
 		Degraded: agg.degraded, Open: agg.open, MeanMs: mean,
 	})
 
-	sr.roundLatMs = sr.roundLatMs[:0]
-	sr.roundLatSum = 0
+	sr.roundStart = end
 }
 
 // finish seals the report: percentiles per phase, breaker and
 // re-planner totals, throughput, determinism fingerprint.
 func (sr *SoakReport) finish(e *Engine, wall time.Duration, hash uint64) {
+	var gathered []float64
 	for _, ps := range sr.Phases {
-		sort.Float64s(ps.latencies)
-		n := len(ps.latencies)
-		if n > 0 {
-			sum := 0.0
-			for _, v := range ps.latencies {
-				sum += v
+		// A phase whose rounds ran back to back is one span, summarised
+		// in place; only a phase that recurs is gathered into one slice.
+		lat := sr.latMs[ps.spans[0].start:ps.spans[0].end]
+		if len(ps.spans) > 1 {
+			gathered = gathered[:0]
+			for _, sp := range ps.spans {
+				gathered = append(gathered, sr.latMs[sp.start:sp.end]...)
 			}
-			ps.MeanMs = sum / float64(n)
-			ps.P50Ms = quantile(ps.latencies, 0.50)
-			ps.P90Ms = quantile(ps.latencies, 0.90)
-			ps.P99Ms = quantile(ps.latencies, 0.99)
-			ps.P999Ms = quantile(ps.latencies, 0.999)
-			ps.MaxMs = ps.latencies[n-1]
+			lat = gathered
 		}
-		ps.latencies = nil
+		ps.summarizeLatencies(lat)
+		ps.spans = nil
 	}
+	sr.latMs = nil
+	e.mu.Lock()
 	for _, b := range e.breaker {
 		sr.BreakerOpens += b.Opens()
 		sr.BreakerTransitions += b.Transitions()
 	}
-	e.mu.Lock()
 	sr.Replans = e.stats.replans
 	sr.ReplanPanics = e.stats.replanPanics
 	sr.ReplanErrors = e.stats.replanErrors
@@ -288,19 +304,115 @@ func (sr *SoakReport) JSON() ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// quantile returns the q-quantile of sorted (ascending) samples using
-// the nearest-rank method.
-func quantile(sorted []float64, q float64) float64 {
-	n := len(sorted)
+// summarizeLatencies fills the phase's latency fields from its
+// requests' latencies, given in fold order; it reorders lat. MeanMs is
+// the fold-order sum over n. The percentiles are nearest-rank order
+// statistics, each placed by selection; ranks only grow, so each
+// selection runs right of the previous rank, over about
+// n + n/2 + n/10 + n/100 values in all. Values order as in
+// sort.Float64s (NaN lowest), so every percentile and MaxMs is the
+// value a sorted copy holds at that rank.
+func (ps *PhaseStats) summarizeLatencies(lat []float64) {
+	n := len(lat)
 	if n == 0 {
-		return 0
+		return
 	}
-	idx := int(q*float64(n)+0.5) - 1
-	if idx < 0 {
-		idx = 0
+	// One pass in fold order: the sum, the max, and any NaN moved to
+	// the front, where sort.Float64s puts it, so selection compares
+	// with < alone.
+	sum, maxMs, nans := 0.0, lat[0], 0
+	for i, v := range lat {
+		sum += v
+		switch {
+		case v != v:
+			lat[i], lat[nans] = lat[nans], v
+			nans++
+		case !(v <= maxMs): // also replaces a NaN lat[0]
+			maxMs = v
+		}
 	}
-	if idx >= n {
-		idx = n - 1
+	ps.MeanMs = sum / float64(n)
+	ps.MaxMs = maxMs
+	from := nans
+	for _, p := range [...]struct {
+		q   float64
+		dst *float64
+	}{{0.50, &ps.P50Ms}, {0.90, &ps.P90Ms}, {0.99, &ps.P99Ms}, {0.999, &ps.P999Ms}} {
+		k := rankIndex(p.q, n)
+		if k >= from { // else k is a NaN or the previous rank, already in place
+			selectKth(lat[from:], k-from)
+			from = k + 1
+		}
+		*p.dst = lat[k]
 	}
-	return sorted[idx]
+}
+
+// rankIndex is the nearest-rank index of the q-quantile among n
+// ascending samples, clamped to [0, n-1].
+func rankIndex(q float64, n int) int {
+	return min(max(int(q*float64(n)+0.5)-1, 0), n-1)
+}
+
+// selectKth reorders a, which holds no NaN, so that a[k] holds the
+// value an ascending sort would put there, with nothing greater before
+// it and nothing less after it. It is a quickselect with a
+// median-of-three pivot and a branchless Lomuto partition: a
+// comparison's outcome feeds an add, not a jump, so unpredictable data
+// costs no mispredicted branches. When a pivot is the least value of
+// its range, a second pass gathers the values equal to it, which ends
+// the search if k falls among them and otherwise removes them all: a
+// run of ties cannot stall it. A range that is still large after
+// 2·log2(len(a)) partitions, or is small, is sorted instead.
+func selectKth(a []float64, k int) {
+	lo, hi := 0, len(a)
+	for budget := 2 * bits.Len(uint(len(a))); hi-lo > 12 && budget > 0; budget-- {
+		p := median3(a[lo], a[lo+(hi-lo)/2], a[hi-1])
+		lt := lo // a[lo:lt] < p <= a[lt:i]
+		for i := lo; i < hi; i++ {
+			v := a[i]
+			a[i], a[lt] = a[lt], v
+			d := 0
+			if v < p {
+				d = 1
+			}
+			lt += d
+		}
+		switch {
+		case k < lt:
+			hi = lt
+			continue
+		case lt > lo:
+			lo = lt
+			continue
+		}
+		eq := lo // p is the least value: a[lo:eq] == p < a[eq:i]
+		for i := lo; i < hi; i++ {
+			v := a[i]
+			a[i], a[eq] = a[eq], v
+			d := 1
+			if p < v {
+				d = 0
+			}
+			eq += d
+		}
+		if k < eq {
+			return
+		}
+		lo = eq
+	}
+	slices.Sort(a[lo:hi])
+}
+
+// median3 returns the median of three values.
+func median3(x, y, z float64) float64 {
+	if y < x {
+		x, y = y, x
+	}
+	if z < y {
+		y = z
+		if y < x {
+			y = x
+		}
+	}
+	return y
 }

@@ -240,7 +240,7 @@ type Engine struct {
 	prevOpen    int
 	flightDumps int64
 
-	mu           sync.Mutex // guards campaign, fv, now, health, stats
+	mu           sync.Mutex // guards campaign, fv, now, breakers, health, stats
 	campaign     *chaos.Campaign
 	fv           *model.Instance
 	fvEmpty      bool
@@ -328,6 +328,13 @@ func (e *Engine) Now() units.Seconds {
 // BreakerStates reports every server's breaker state at virtual time
 // now.
 func (e *Engine) BreakerStates(now units.Seconds) []BreakerState {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.breakerStatesLocked(now)
+}
+
+// breakerStatesLocked is BreakerStates for callers that hold e.mu.
+func (e *Engine) breakerStatesLocked(now units.Seconds) []BreakerState {
 	out := make([]BreakerState, len(e.breaker))
 	for i, b := range e.breaker {
 		out[i] = b.State(now)
@@ -386,7 +393,7 @@ func (e *Engine) snapshotLocked(now units.Seconds) (v *view, recovered bool, err
 	v = &view{
 		plan:    e.plan.load(),
 		fv:      e.fv,
-		brState: e.BreakerStates(now),
+		brState: e.breakerStatesLocked(now),
 		opt:     &e.opt,
 	}
 	return v, recovered, nil
@@ -852,11 +859,12 @@ type roundAgg struct {
 // foldRound folds the round's outcomes into the engine and report in
 // request order. The fold is the only writer of breaker and health
 // state during a soak, so the whole data plane stays deterministic.
+// The latency histograms take the round's latencies as one batch.
 func (e *Engine) foldRound(r int, now units.Seconds, outcomes []RequestOutcome, hash *outcomeHash, rep *SoakReport) roundAgg {
 	const healthGamma = 0.05
 	var agg roundAgg
 	end := now + e.opt.Tick
-	e.mu.Lock() // health is read by GET /state
+	e.mu.Lock() // breakers and health are read by GET /state
 	for i := range outcomes {
 		o := &outcomes[i]
 		agg.requests++
@@ -891,22 +899,22 @@ func (e *Engine) foldRound(r int, now units.Seconds, outcomes []RequestOutcome, 
 			}
 			e.health[vs.server] = (1-healthGamma)*h + healthGamma*target
 		}
-		e.observeLatencySLO(o.Latency)
 		rep.observeOutcome(o)
 		writeOutcomeHash(hash, r, i, o)
 	}
-	e.mu.Unlock()
 	for _, b := range e.breaker {
 		if b.State(end) == Open {
 			agg.open++
 		}
 	}
+	e.mu.Unlock()
+	lat := rep.roundLatencies()
 
 	// Flight merge + SLO burn rates, then triggered dumps. The merge is
 	// the only point records enter the ring, and the only point eviction
 	// happens.
 	e.flight.MergeRound()
-	reasons := e.observeSLOs(now, agg)
+	reasons := e.observeSLOs(now, agg, lat)
 	if agg.open > e.prevOpen {
 		reasons = append(reasons, "breaker-spike")
 	}
@@ -925,9 +933,7 @@ func (e *Engine) foldRound(r int, now units.Seconds, outcomes []RequestOutcome, 
 		sc.Count("serve_deadline_exceeded_total", int64(agg.deadlineExceeded))
 		sc.Count("serve_hedges_total", int64(agg.hedged))
 		sc.Count("serve_degraded_total", int64(agg.degraded))
-		for i := range outcomes {
-			sc.Observe("serve_request_latency_ms", outcomes[i].Latency.Millis())
-		}
+		sc.Registry().Histogram("serve_request_latency_ms").ObserveAll(lat)
 		sc.SetGauge("serve_breakers_open", float64(agg.open))
 		sc.SetGauge("serve_plan_epoch", float64(e.plan.load().Epoch))
 		minH := 1.0

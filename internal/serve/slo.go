@@ -79,13 +79,15 @@ type SLOReport struct {
 }
 
 // observeSLOs folds one round into the SLO engine at the barrier:
-// latency histogram, both objectives' burn rates, and the per-epoch
-// cells. It returns the dump-trigger reasons the round raised (burn-rate
-// breaches). No-op (nil) when SLOs are disabled.
-func (e *Engine) observeSLOs(now units.Seconds, agg roundAgg) []string {
+// the round's latencies (lat, in ms) into the latency histogram, both
+// objectives' burn rates, and the per-epoch cells. It returns the
+// dump-trigger reasons the round raised (burn-rate breaches). No-op
+// (nil) when SLOs are disabled.
+func (e *Engine) observeSLOs(now units.Seconds, agg roundAgg, lat []float64) []string {
 	if len(e.slos) == 0 {
 		return nil
 	}
+	e.latHist.ObserveAll(lat)
 	e.mu.Lock()
 	c := e.campaign
 	e.mu.Unlock()
@@ -107,14 +109,6 @@ func (e *Engine) observeSLOs(now units.Seconds, agg roundAgg) []string {
 		e.epochCells[i][ep].total += total
 	}
 	return reasons
-}
-
-// observeLatencySLO feeds one outcome's latency into the streaming
-// histogram backing the latency SLO's quantile estimates.
-func (e *Engine) observeLatencySLO(lat units.Seconds) {
-	if e.latHist != nil {
-		e.latHist.Observe(lat.Millis())
-	}
 }
 
 // SLOSnapshots reports the current state of every configured SLO — the
