@@ -307,7 +307,7 @@ type SimReport struct {
 // simulator with request arrivals spread uniformly over spreadSeconds
 // (0 = synchronized burst).
 func (sc *Scenario) Simulate(st *Strategy, spreadSeconds float64, seed uint64) *SimReport {
-	rep := des.SimulateStrategy(sc.in, st.raw, units.Seconds(spreadSeconds), rng.New(seed))
+	rep := des.Simulate(sc.in, st.raw, des.SimOptions{Spread: units.Seconds(spreadSeconds)}, rng.New(seed))
 	return &SimReport{
 		AvgLatencyMs:  rep.Avg.Millis(),
 		AnalyticAvgMs: rep.AnalyticAvg.Millis(),
@@ -353,7 +353,7 @@ func (f FaultProfile) raw() des.Faults {
 // arrivals and every fault draw, so identical seeds give identical
 // reports.
 func (sc *Scenario) SimulateUnreliable(st *Strategy, spreadSeconds float64, faults FaultProfile, seed uint64) *SimReport {
-	rep := des.SimulateStrategyFaulty(sc.in, st.raw, units.Seconds(spreadSeconds), faults.raw(), rng.New(seed))
+	rep := des.Simulate(sc.in, st.raw, des.SimOptions{Spread: units.Seconds(spreadSeconds), Faults: faults.raw()}, rng.New(seed))
 	return &SimReport{
 		AvgLatencyMs:   rep.Avg.Millis(),
 		AnalyticAvgMs:  rep.AnalyticAvg.Millis(),

@@ -26,7 +26,6 @@ import (
 	"idde/internal/repair"
 	"idde/internal/rng"
 	"idde/internal/topology"
-	"idde/internal/units"
 	"idde/internal/vendor"
 	"idde/internal/workload"
 )
@@ -39,7 +38,7 @@ func benchConfig() experiment.Config {
 		Reps: 1,
 		Seed: 2022,
 		Approaches: []baseline.Approach{
-			&baseline.IDDEIP{MaxIters: 1500, Anneal: true},
+			&baseline.IDDEIP{MaxIters: 1500},
 			baseline.NewIDDEG(),
 			baseline.NewSAA(),
 			baseline.NewCDP(),
@@ -240,7 +239,7 @@ func BenchmarkAblationPowerControl(b *testing.B) {
 	var res *power.Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err = power.Tune(in, alloc, power.DefaultOptions())
+		res, err = power.Tune(in, alloc)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -290,7 +289,7 @@ func BenchmarkOnlineJoin(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sys := online.NewSystem(in, online.DefaultOptions())
+	sys := online.NewSystem(in)
 	// Preload all but the churn cohort.
 	cohort := 32
 	for j := cohort; j < in.M(); j++ {
@@ -375,7 +374,7 @@ func BenchmarkDESBurst(b *testing.B) {
 	b.ResetTimer()
 	var rep *des.Report
 	for i := 0; i < b.N; i++ {
-		rep = des.SimulateStrategy(in, st, units.Seconds(0), rng.New(uint64(i)))
+		rep = des.Simulate(in, st, des.SimOptions{}, rng.New(uint64(i)))
 	}
 	b.StopTimer()
 	b.ReportMetric(rep.Avg.Millis(), "measured-ms")

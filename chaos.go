@@ -1,6 +1,7 @@
 package idde
 
 import (
+	"context"
 	"fmt"
 
 	"idde/internal/chaos"
@@ -94,7 +95,7 @@ func (sc *Scenario) ChaosSweep(st *Strategy, cfg ChaosConfig) (*ChaosSummary, er
 	gen := func(i int, s *rng.Stream) chaos.Campaign {
 		return chaos.Correlated(sc.in, gc, s)
 	}
-	sw, err := chaos.MonteCarlo(sc.in, st.raw, gen, chaos.SweepConfig{
+	sw, err := chaos.MonteCarlo(context.Background(), sc.in, st.raw, gen, chaos.SweepConfig{
 		Config: chaos.Config{
 			Seed:   cfg.Seed,
 			Spread: units.Seconds(cfg.SpreadSeconds),

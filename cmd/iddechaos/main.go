@@ -107,7 +107,7 @@ func main() {
 	// instead of discarding the run.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	sw, err := chaos.MonteCarloCtx(ctx, in, st, gen, chaos.SweepConfig{
+	sw, err := chaos.MonteCarlo(ctx, in, st, gen, chaos.SweepConfig{
 		Config:    chaos.Config{Seed: *seed, Spread: units.Seconds(*spread), Obs: scope},
 		Campaigns: *campaigns,
 	})

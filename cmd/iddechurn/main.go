@@ -84,7 +84,7 @@ func main() {
 		return
 	}
 
-	samples, sys, err := online.Replay(in, tr, online.DefaultOptions(), *every)
+	samples, sys, err := online.Replay(in, tr, *every)
 	if err != nil {
 		fatal(err)
 	}

@@ -115,8 +115,6 @@ func realMain() int {
 		Tick:               units.Seconds(*tick),
 		Duration:           units.Seconds(*duration),
 		Deadline:           units.Seconds(*deadlineMs / 1e3),
-		MaxRetries:         *retries,
-		Backoff:            units.Seconds(*backoffMs / 1e3),
 		Jitter:             *jitter,
 		Hedge:              units.Seconds(*hedgeMs / 1e3),
 		Breaker:            serve.BreakerConfig{FailureThreshold: *failThreshold, OpenTimeout: units.Seconds(*openTimeout)},

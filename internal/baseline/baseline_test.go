@@ -32,7 +32,7 @@ func genInstance(t *testing.T, n, m, k int, seed uint64) *model.Instance {
 
 // fastIP returns an IDDE-IP configured for deterministic, quick tests.
 func fastIP() *IDDEIP {
-	return &IDDEIP{MaxIters: 3000, Anneal: true}
+	return &IDDEIP{MaxIters: 3000}
 }
 
 func testApproaches() []Approach {

@@ -28,13 +28,11 @@ type IDDEIP struct {
 	Budget time.Duration
 	// MaxIters optionally caps evaluations instead (deterministic runs).
 	MaxIters int
-	// Anneal enables downhill acceptance.
-	Anneal bool
 }
 
 // NewIDDEIP returns the baseline with the default scaled-down budget.
 func NewIDDEIP() *IDDEIP {
-	return &IDDEIP{Budget: 500 * time.Millisecond, Anneal: true}
+	return &IDDEIP{Budget: 500 * time.Millisecond}
 }
 
 // Name implements Approach.
@@ -46,7 +44,6 @@ func (a *IDDEIP) Solve(in *model.Instance, seed uint64) model.Strategy {
 	res := solver.Maximize[*ipState](p, solver.Options{
 		Budget:   a.Budget,
 		MaxIters: a.MaxIters,
-		Anneal:   a.Anneal,
 		Seed:     seed,
 	})
 	st := res.Best

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -91,11 +92,10 @@ func TestRunTransientOutageRecovers(t *testing.T) {
 	st := core.Solve(in, core.DefaultOptions()).Strategy
 	gen := Correlated(in, GenConfig{
 		ClusterSize:    3,
-		OutageAt:       0,
 		OutageDuration: units.Seconds(60),
 		Faults:         des.Faults{LossProb: 0.2},
 	}, rng.New(5))
-	rep, err := Run(in, st, gen, Config{Seed: 9, Spread: units.Seconds(5)})
+	rep, err := Run(context.Background(), in, st, gen, Config{Seed: 9, Spread: units.Seconds(5)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +142,11 @@ func TestRunIdenticalSeedsIdenticalReports(t *testing.T) {
 			Faults:         des.Faults{LossProb: 0.25, StallProb: 0.05, StallTime: units.Seconds(0.01)},
 		}, rng.New(7))
 	}
-	a, err := Run(in, st, gen(), Config{Seed: 11, Spread: units.Seconds(2)})
+	a, err := Run(context.Background(), in, st, gen(), Config{Seed: 11, Spread: units.Seconds(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(in, st, gen(), Config{Seed: 11, Spread: units.Seconds(2)})
+	b, err := Run(context.Background(), in, st, gen(), Config{Seed: 11, Spread: units.Seconds(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestMonteCarloSweep(t *testing.T) {
 			Faults:         des.Faults{LossProb: 0.2},
 		}, s)
 	}
-	sw, err := MonteCarlo(in, st, gen, SweepConfig{
+	sw, err := MonteCarlo(context.Background(), in, st, gen, SweepConfig{
 		Config:    Config{Seed: 2022, Spread: units.Seconds(2)},
 		Campaigns: 6,
 	})
@@ -199,7 +199,7 @@ func TestMonteCarloSweep(t *testing.T) {
 		t.Errorf("mean worst latency inflation %v < 1 under 20%% loss", sw.LatencyInflation.Mean)
 	}
 	// Reproducibility of the whole sweep.
-	sw2, err := MonteCarlo(in, st, gen, SweepConfig{
+	sw2, err := MonteCarlo(context.Background(), in, st, gen, SweepConfig{
 		Config:    Config{Seed: 2022, Spread: units.Seconds(2)},
 		Campaigns: 6,
 	})

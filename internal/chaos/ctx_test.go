@@ -18,14 +18,13 @@ func TestRunCtxPreCancelled(t *testing.T) {
 	st := core.Solve(in, core.DefaultOptions()).Strategy
 	c := Correlated(in, GenConfig{
 		ClusterSize:    2,
-		OutageAt:       0,
 		OutageDuration: units.Seconds(30),
 		Faults:         des.Faults{LossProb: 0.1},
 	}, rng.New(5))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rep, err := RunCtx(ctx, in, st, c, Config{Seed: 9})
+	rep, err := Run(ctx, in, st, c, Config{Seed: 9})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -60,7 +59,7 @@ func TestMonteCarloCtxCancelMidSweep(t *testing.T) {
 			Faults:         des.Faults{LossProb: 0.2},
 		}, s)
 	}
-	sw, err := MonteCarloCtx(ctx, in, st, gen, SweepConfig{
+	sw, err := MonteCarlo(ctx, in, st, gen, SweepConfig{
 		Config:    Config{Seed: 2022, Spread: units.Seconds(2)},
 		Campaigns: 10,
 	})
@@ -89,7 +88,7 @@ func TestMonteCarloCtxCancelMidSweep(t *testing.T) {
 			Faults:         des.Faults{LossProb: 0.2},
 		}, s)
 	}
-	full, err := MonteCarlo(in, st, fullGen, SweepConfig{
+	full, err := MonteCarlo(context.Background(), in, st, fullGen, SweepConfig{
 		Config:    Config{Seed: 2022, Spread: units.Seconds(2)},
 		Campaigns: 10,
 	})

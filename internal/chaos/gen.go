@@ -19,9 +19,6 @@ type GenConfig struct {
 	// ClusterSize is the number of servers in the correlated outage
 	// (≥1; clamped to the server count).
 	ClusterSize int
-	// OutageAt is when the outage strikes (default 0: the campaign
-	// opens degraded).
-	OutageAt units.Seconds
 	// OutageDuration is the transient-recovery time; 0 means the
 	// servers stay down for the whole campaign.
 	OutageDuration units.Seconds
@@ -39,7 +36,8 @@ type GenConfig struct {
 	Faults des.Faults
 }
 
-// Correlated draws one campaign from the config: an epicenter is chosen
+// Correlated draws one campaign from the config: every fault strikes at
+// t = 0, so the campaign opens degraded. An epicenter is chosen
 // uniformly among the instance's healthy servers and the ClusterSize
 // servers nearest to it fail together, modelling the spatial
 // correlation of real outages (a neighbourhood loses power, a conduit
@@ -78,7 +76,6 @@ func Correlated(in *model.Instance, cfg GenConfig, s *rng.Stream) Campaign {
 	sort.Ints(cluster)
 	c.Name = fmt.Sprintf("correlated-%d@v%d", cfg.ClusterSize, epicenter)
 	c.Events = append(c.Events, Event{
-		At:       cfg.OutageAt,
 		Duration: cfg.OutageDuration,
 		Kind:     ServerOutage,
 		Servers:  cluster,
@@ -103,7 +100,6 @@ func Correlated(in *model.Instance, cfg GenConfig, s *rng.Stream) Campaign {
 		}
 		for _, l := range cuttable[:n] {
 			c.Events = append(c.Events, Event{
-				At:       cfg.OutageAt,
 				Duration: cfg.OutageDuration,
 				Kind:     LinkCut,
 				Link:     l,
@@ -113,7 +109,6 @@ func Correlated(in *model.Instance, cfg GenConfig, s *rng.Stream) Campaign {
 
 	if cfg.BrownoutFactor > 0 && cfg.BrownoutFactor < 1 {
 		c.Events = append(c.Events, Event{
-			At:       cfg.OutageAt,
 			Duration: cfg.BrownoutDuration,
 			Kind:     CloudBrownout,
 			Factor:   cfg.BrownoutFactor,

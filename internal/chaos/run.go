@@ -111,17 +111,12 @@ func safeRatio(a, b float64) float64 {
 // instance to that epoch's cumulative fault state, repairs the previous
 // epoch's strategy onto it (so failures compound and recoveries
 // re-admit), and measures the workload on the DES under the campaign's
-// fault model.
-func Run(in *model.Instance, st model.Strategy, c Campaign, cfg Config) (*CampaignReport, error) {
-	return RunCtx(context.Background(), in, st, c, cfg)
-}
-
-// RunCtx is Run under a context. Cancellation is honored at epoch
-// boundaries: the report returned alongside ctx.Err() covers every
-// epoch that completed (its totals and worst-epoch aggregates are
-// consistent with the epochs it holds), and the campaign spawns no
-// goroutines, so nothing is left running.
-func RunCtx(ctx context.Context, in *model.Instance, st model.Strategy, c Campaign, cfg Config) (*CampaignReport, error) {
+// fault model. Cancellation is honored at epoch boundaries: the report
+// returned alongside ctx.Err() covers every epoch that completed (its
+// totals and worst-epoch aggregates are consistent with the epochs it
+// holds), and the campaign spawns no goroutines, so nothing is left
+// running.
+func Run(ctx context.Context, in *model.Instance, st model.Strategy, c Campaign, cfg Config) (*CampaignReport, error) {
 	if err := c.Validate(in); err != nil {
 		return nil, err
 	}
@@ -134,7 +129,7 @@ func RunCtx(ctx context.Context, in *model.Instance, st model.Strategy, c Campai
 	sc := cfg.Obs
 	healthyRate, _ := in.Evaluate(st)
 	rep.HealthyRateMBps = float64(healthyRate)
-	healthySim := des.SimulateStrategyOpt(in, st, des.SimOptions{Spread: cfg.Spread, Obs: sc}, root.Split("healthy"))
+	healthySim := des.Simulate(in, st, des.SimOptions{Spread: cfg.Spread, Obs: sc}, root.Split("healthy"))
 	rep.HealthyLatencyMs = healthySim.Avg.Millis()
 	baseServed := st.Alloc.AllocatedCount()
 
@@ -157,14 +152,13 @@ func RunCtx(ctx context.Context, in *model.Instance, st model.Strategy, c Campai
 			return nil, fmt.Errorf("chaos: repair at %v: %w", t, err)
 		}
 
-		var sim *des.Report
-		epochStream := root.SplitN("epoch", ei)
+		// Link faults strike only while something is degraded; epochs
+		// with nothing down, cut or browned out transfer reliably.
 		simOpt := des.SimOptions{Spread: cfg.Spread, Obs: sc}
-		if c.Faults.Enabled() && (len(d.FailedServers) > 0 || len(d.CutLinks) > 0 || d.CloudFactor > 0) {
-			f := c.Faults
-			simOpt.Faults = &f
+		if len(d.FailedServers) > 0 || len(d.CutLinks) > 0 || d.CloudFactor > 0 {
+			simOpt.Faults = c.Faults
 		}
-		sim = des.SimulateStrategyOpt(deg, repaired, simOpt, epochStream)
+		sim := des.Simulate(deg, repaired, simOpt, root.SplitN("epoch", ei))
 
 		rate, _ := deg.Evaluate(repaired)
 		stranded := 0.0
@@ -296,16 +290,11 @@ type SweepReport struct {
 // degradation metrics. Campaign i draws from an independent labeled
 // split of the sweep seed, so the whole sweep is reproducible and any
 // single campaign can be re-run in isolation with its reported seed.
-func MonteCarlo(in *model.Instance, st model.Strategy, gen Generator, cfg SweepConfig) (*SweepReport, error) {
-	return MonteCarloCtx(context.Background(), in, st, gen, cfg)
-}
-
-// MonteCarloCtx is MonteCarlo under a context. Cancellation is honored
-// between campaigns (a campaign mid-replay finishes its current epoch
-// and stops): the sweep returned alongside ctx.Err() aggregates only
-// fully replayed campaigns, with Campaigns set to that count — a
-// truncated but statistically clean sweep.
-func MonteCarloCtx(ctx context.Context, in *model.Instance, st model.Strategy, gen Generator, cfg SweepConfig) (*SweepReport, error) {
+// Cancellation is honored between campaigns (a campaign mid-replay
+// finishes its current epoch and stops): the sweep returned alongside
+// ctx.Err() aggregates only fully replayed campaigns, with Campaigns set
+// to that count — a truncated but statistically clean sweep.
+func MonteCarlo(ctx context.Context, in *model.Instance, st model.Strategy, gen Generator, cfg SweepConfig) (*SweepReport, error) {
 	if cfg.Campaigns <= 0 {
 		cfg.Campaigns = 20
 	}
@@ -322,7 +311,7 @@ func MonteCarloCtx(ctx context.Context, in *model.Instance, st model.Strategy, g
 		c := gen(i, cs)
 		runCfg := cfg.Config
 		runCfg.Seed = cs.Split("run").Seed()
-		cr, err := RunCtx(ctx, in, st, c, runCfg)
+		cr, err := Run(ctx, in, st, c, runCfg)
 		if err != nil {
 			if ctx.Err() != nil {
 				// The partial campaign is dropped: a sweep aggregates

@@ -7,7 +7,7 @@
 // system-level check a deployable edge storage system needs.
 //
 // The core is a conventional event calendar (binary heap on virtual
-// time); on top of it, Network models each wired inter-server link and
+// time); on top of it, Simulate models each wired inter-server link and
 // each server's cloud ingress as a FIFO store-and-forward resource.
 package des
 

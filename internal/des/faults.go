@@ -6,8 +6,8 @@ import (
 	"idde/internal/units"
 )
 
-// Faults is the unreliable-transfer mode of the simulator: each wired
-// hop attempt can be lost (detected at the end of the attempt, as a
+// Faults is the simulator's wired-hop fault model; the zero value is
+// the reliable mode. Each wired hop attempt can be lost (detected at the end of the attempt, as a
 // checksum failure would be) or stalled, lost attempts are retried with
 // exponential backoff, and a transfer that exhausts its retry budget at
 // any hop abandons its source and fails over to the next-best replica

@@ -9,24 +9,6 @@ import (
 	"idde/internal/units"
 )
 
-func TestFaultyZeroConfigMatchesReliable(t *testing.T) {
-	in := genInstance(t, 12, 70, 4, 11)
-	st := core.Solve(in, core.DefaultOptions()).Strategy
-	rel := SimulateStrategy(in, st, units.Seconds(10), rng.New(3))
-	fau := SimulateStrategyFaulty(in, st, units.Seconds(10), Faults{}, rng.New(3))
-	if len(rel.PerRequest) != len(fau.PerRequest) {
-		t.Fatalf("request counts differ: %d vs %d", len(rel.PerRequest), len(fau.PerRequest))
-	}
-	for i := range rel.PerRequest {
-		if math.Abs(float64(rel.PerRequest[i]-fau.PerRequest[i])) > 1e-12 {
-			t.Fatalf("request %d: reliable %v != zero-fault %v", i, rel.PerRequest[i], fau.PerRequest[i])
-		}
-	}
-	if fau.Retries != 0 || fau.Failovers != 0 || fau.Stalls != 0 || fau.CloudFallbacks != 0 {
-		t.Errorf("zero-fault run reported faults: %+v", fau)
-	}
-}
-
 // The acceptance-criterion test: at 20% per-hop link loss the
 // simulation terminates, panics nowhere, degrades latency gracefully
 // (never below the reliable run, inflated but finite) and accounts for
@@ -34,9 +16,9 @@ func TestFaultyZeroConfigMatchesReliable(t *testing.T) {
 func TestTwentyPercentLossDegradesGracefully(t *testing.T) {
 	in := genInstance(t, 12, 70, 4, 11)
 	st := core.Solve(in, core.DefaultOptions()).Strategy
-	rel := SimulateStrategy(in, st, units.Seconds(5), rng.New(4))
+	rel := Simulate(in, st, SimOptions{Spread: units.Seconds(5)}, rng.New(4))
 	f := Faults{LossProb: 0.2}
-	fau := SimulateStrategyFaulty(in, st, units.Seconds(5), f, rng.New(4))
+	fau := Simulate(in, st, SimOptions{Spread: units.Seconds(5), Faults: f}, rng.New(4))
 
 	if fau.Retries == 0 {
 		t.Error("20% loss produced zero retries")
@@ -56,8 +38,8 @@ func TestFaultyDeterministicUnderSeed(t *testing.T) {
 	in := genInstance(t, 10, 60, 3, 5)
 	st := core.Solve(in, core.DefaultOptions()).Strategy
 	f := Faults{LossProb: 0.3, StallProb: 0.1, StallTime: units.Seconds(0.01)}
-	a := SimulateStrategyFaulty(in, st, units.Seconds(2), f, rng.New(7))
-	b := SimulateStrategyFaulty(in, st, units.Seconds(2), f, rng.New(7))
+	a := Simulate(in, st, SimOptions{Spread: units.Seconds(2), Faults: f}, rng.New(7))
+	b := Simulate(in, st, SimOptions{Spread: units.Seconds(2), Faults: f}, rng.New(7))
 	if a.Retries != b.Retries || a.Failovers != b.Failovers || a.Stalls != b.Stalls ||
 		a.CloudRequests != b.CloudRequests || a.CloudFallbacks != b.CloudFallbacks {
 		t.Fatalf("counters differ under same seed: %+v vs %+v", a, b)
@@ -67,7 +49,7 @@ func TestFaultyDeterministicUnderSeed(t *testing.T) {
 			t.Fatalf("request %d latency differs under same seed", i)
 		}
 	}
-	c := SimulateStrategyFaulty(in, st, units.Seconds(2), f, rng.New(8))
+	c := Simulate(in, st, SimOptions{Spread: units.Seconds(2), Faults: f}, rng.New(8))
 	same := true
 	for i := range a.PerRequest {
 		if a.PerRequest[i] != c.PerRequest[i] {
@@ -86,7 +68,7 @@ func TestRetryExhaustionFailsOverToCloud(t *testing.T) {
 	in := genInstance(t, 10, 60, 3, 9)
 	st := core.Solve(in, core.DefaultOptions()).Strategy
 	f := Faults{LossProb: 0.999999, MaxRetries: 1, Backoff: units.Seconds(0.001)}
-	fau := SimulateStrategyFaulty(in, st, units.Seconds(5), f, rng.New(2))
+	fau := Simulate(in, st, SimOptions{Spread: units.Seconds(5), Faults: f}, rng.New(2))
 	if fau.Failovers == 0 {
 		t.Error("near-certain loss produced no failovers")
 	}
@@ -99,7 +81,7 @@ func TestRetryExhaustionFailsOverToCloud(t *testing.T) {
 		}
 	}
 	// More loss means strictly more measured latency than the 20% run.
-	mild := SimulateStrategyFaulty(in, st, units.Seconds(5), Faults{LossProb: 0.2}, rng.New(2))
+	mild := Simulate(in, st, SimOptions{Spread: units.Seconds(5), Faults: Faults{LossProb: 0.2}}, rng.New(2))
 	if float64(fau.Avg) < float64(mild.Avg) {
 		t.Errorf("total-loss avg %v below 20%%-loss avg %v", fau.Avg, mild.Avg)
 	}
@@ -108,9 +90,9 @@ func TestRetryExhaustionFailsOverToCloud(t *testing.T) {
 func TestStallsInflateLatency(t *testing.T) {
 	in := genInstance(t, 10, 60, 3, 13)
 	st := core.Solve(in, core.DefaultOptions()).Strategy
-	base := SimulateStrategyFaulty(in, st, units.Seconds(5), Faults{}, rng.New(6))
-	stalled := SimulateStrategyFaulty(in, st, units.Seconds(5),
-		Faults{StallProb: 0.5, StallTime: units.Seconds(0.05)}, rng.New(6))
+	base := Simulate(in, st, SimOptions{Spread: units.Seconds(5)}, rng.New(6))
+	stalled := Simulate(in, st, SimOptions{Spread: units.Seconds(5),
+		Faults: Faults{StallProb: 0.5, StallTime: units.Seconds(0.05)}}, rng.New(6))
 	if stalled.Stalls == 0 {
 		t.Fatal("50% stall probability produced no stalls")
 	}

@@ -37,7 +37,7 @@ func TestUncontendedSimulationMatchesAnalytic(t *testing.T) {
 	st := core.Solve(in, core.DefaultOptions()).Strategy
 	// A very wide arrival spread leaves every resource idle on arrival,
 	// so measured latency equals the analytic Eq. 8 value per request.
-	rep := SimulateStrategy(in, st, units.Seconds(1e6), rng.New(2))
+	rep := Simulate(in, st, SimOptions{Spread: units.Seconds(1e6)}, rng.New(2))
 	idx := 0
 	for j, items := range in.Wl.Requests {
 		for _, k := range items {
@@ -60,7 +60,7 @@ func TestUncontendedSimulationMatchesAnalytic(t *testing.T) {
 func TestBurstArrivalsOnlyAddDelay(t *testing.T) {
 	in := genInstance(t, 15, 120, 5, 3)
 	st := core.Solve(in, core.DefaultOptions()).Strategy
-	rep := SimulateStrategy(in, st, 0, rng.New(4)) // synchronized burst
+	rep := Simulate(in, st, SimOptions{}, rng.New(4)) // synchronized burst
 	idx := 0
 	for j, items := range in.Wl.Requests {
 		for _, k := range items {
@@ -86,7 +86,7 @@ func TestSimulationCountsCloudRequests(t *testing.T) {
 		Alloc:    model.NewAllocation(in.M()),
 		Delivery: model.NewDelivery(in.N(), in.K()),
 	}
-	rep := SimulateStrategy(in, st, units.Seconds(1e6), rng.New(6))
+	rep := Simulate(in, st, SimOptions{Spread: units.Seconds(1e6)}, rng.New(6))
 	if rep.CloudRequests != in.Wl.TotalRequests() {
 		t.Errorf("cloud requests = %d, want %d", rep.CloudRequests, in.Wl.TotalRequests())
 	}
@@ -107,7 +107,7 @@ func TestSimulationCountsCloudRequests(t *testing.T) {
 func TestNonCollaborativeModesBypassWiredNetwork(t *testing.T) {
 	in := genInstance(t, 12, 80, 4, 7)
 	st := baseline.NewCDP().Solve(in, 0)
-	rep := SimulateStrategy(in, st, 0, rng.New(8))
+	rep := Simulate(in, st, SimOptions{}, rng.New(8))
 	// Server-local hits are instantaneous; only cloud fetches take time.
 	idx := 0
 	for j, items := range in.Wl.Requests {
@@ -126,8 +126,8 @@ func TestNonCollaborativeModesBypassWiredNetwork(t *testing.T) {
 func TestSimulationDeterministic(t *testing.T) {
 	in := genInstance(t, 12, 60, 4, 9)
 	st := core.Solve(in, core.DefaultOptions()).Strategy
-	a := SimulateStrategy(in, st, 0.1, rng.New(10))
-	b := SimulateStrategy(in, st, 0.1, rng.New(10))
+	a := Simulate(in, st, SimOptions{Spread: 0.1}, rng.New(10))
+	b := Simulate(in, st, SimOptions{Spread: 0.1}, rng.New(10))
 	if a.Avg != b.Avg || a.Events != b.Events {
 		t.Error("simulation not deterministic under a fixed seed")
 	}

@@ -1,12 +1,15 @@
 package experiment
 
 import (
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 
 	"idde/internal/baseline"
 	"idde/internal/cloudlat"
 	"idde/internal/rng"
+	"idde/internal/stats"
 )
 
 func TestSetsMatchTable2(t *testing.T) {
@@ -77,13 +80,12 @@ func smallConfig() Config {
 		Reps: 2,
 		Seed: 7,
 		Approaches: []baseline.Approach{
-			&baseline.IDDEIP{MaxIters: 500, Anneal: true},
+			&baseline.IDDEIP{MaxIters: 500},
 			baseline.NewIDDEG(),
 			baseline.NewSAA(),
 			baseline.NewCDP(),
 			baseline.NewDUPG(),
 		},
-		Workers: 2,
 	}
 }
 
@@ -114,25 +116,52 @@ func TestRunSetShapeAndAggregation(t *testing.T) {
 	}
 }
 
+// TestRunSetDeterministicMetrics runs the same set once on one
+// processor and three times on four, and requires every Rate and
+// LatencyMs summary field to match bit for bit: the fold must not
+// depend on which worker finishes a repetition first. TimeSec is wall
+// time, so only its count is compared.
 func TestRunSetDeterministicMetrics(t *testing.T) {
-	set := Set{ID: 3, Vary: "K", Values: []float64{3}, Base: Params{N: 10, M: 50, Density: 1.0}}
-	cfg := smallConfig()
-	a, err := RunSet(set, cfg)
-	if err != nil {
-		t.Fatal(err)
+	set := Set{ID: 3, Vary: "K", Values: []float64{3, 5}, Base: Params{N: 10, M: 50, Density: 1.0}}
+	cfg := Config{
+		Reps: 12,
+		Seed: 7,
+		Approaches: []baseline.Approach{
+			baseline.NewIDDEG(), baseline.NewSAA(), baseline.NewCDP(), baseline.NewDUPG(),
+		},
 	}
-	b, err := RunSet(set, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name := range a.Points[0].ByApproach {
-		ra, rb := a.Points[0].ByApproach[name].Rate, b.Points[0].ByApproach[name].Rate
-		if ra.Mean != rb.Mean {
-			t.Errorf("%s: rate means differ across identical runs: %v vs %v", name, ra.Mean, rb.Mean)
+	run := func(procs int) *SetResult {
+		t.Helper()
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		sr, err := RunSet(set, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		la, lb := a.Points[0].ByApproach[name].LatencyMs, b.Points[0].ByApproach[name].LatencyMs
-		if la.Mean != lb.Mean {
-			t.Errorf("%s: latency means differ: %v vs %v", name, la.Mean, lb.Mean)
+		return sr
+	}
+	same := func(a, b stats.Summary) bool {
+		return a.N == b.N && math.Float64bits(a.Mean) == math.Float64bits(b.Mean) &&
+			math.Float64bits(a.Std) == math.Float64bits(b.Std) &&
+			math.Float64bits(a.Min) == math.Float64bits(b.Min) &&
+			math.Float64bits(a.Max) == math.Float64bits(b.Max) &&
+			math.Float64bits(a.CI95) == math.Float64bits(b.CI95)
+	}
+	ref := run(1)
+	for r := 0; r < 3; r++ {
+		got := run(4)
+		for xi, pt := range ref.Points {
+			for name, want := range pt.ByApproach {
+				m := got.Points[xi].ByApproach[name]
+				if !same(m.Rate, want.Rate) {
+					t.Errorf("run %d, x=%v, %s: rate %#v, one-processor run %#v", r, pt.X, name, m.Rate, want.Rate)
+				}
+				if !same(m.LatencyMs, want.LatencyMs) {
+					t.Errorf("run %d, x=%v, %s: latency %#v, one-processor run %#v", r, pt.X, name, m.LatencyMs, want.LatencyMs)
+				}
+				if m.TimeSec.N != cfg.Reps {
+					t.Errorf("run %d, x=%v, %s: %d timings, want %d", r, pt.X, name, m.TimeSec.N, cfg.Reps)
+				}
+			}
 		}
 	}
 }

@@ -1,10 +1,10 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"idde/internal/baseline"
@@ -26,8 +26,6 @@ type Config struct {
 	Seed uint64
 	// Approaches to compare; defaults to baseline.All().
 	Approaches []baseline.Approach
-	// Workers bounds parallel replicas (default GOMAXPROCS).
-	Workers int
 	// Obs receives harness-level telemetry: a span per set and
 	// progress counters (instances built, approach solves). Reps run
 	// concurrently, so only order-free counters are recorded from the
@@ -93,33 +91,25 @@ func repSeed(root uint64, setID, xi, rep int) uint64 {
 	return rng.New(root).SplitN("set", setID).SplitN("x", xi).SplitN("rep", rep).Seed()
 }
 
-// measurement is one (approach, rep) observation.
+// measurement is one approach's observation on one repetition; runRep
+// returns them in cfg.Approaches order.
 type measurement struct {
-	approach  string
 	rate      float64 // MBps
 	latencyMs float64
 	timeSec   float64
 }
 
 // RunSet executes one Table 2 set and aggregates the three metrics.
+// Repetitions run on GOMAXPROCS workers, each storing its measurements
+// in the repetition's own slot; the fold runs afterwards in (x, rep,
+// approach) order, so no summary depends on which worker finished
+// first.
 func RunSet(set Set, cfg Config) (*SetResult, error) {
-	return RunSetCtx(context.Background(), set, cfg)
-}
-
-// RunSetCtx is RunSet under a context. Cancellation stops the worker
-// pool cleanly — no task is abandoned mid-send and every goroutine
-// exits before the call returns — and yields a partial SetResult
-// aggregating the repetitions that finished, alongside ctx.Err().
-// Summaries in a partial result cover fewer than cfg.Reps repetitions.
-func RunSetCtx(ctx context.Context, set Set, cfg Config) (*SetResult, error) {
 	if cfg.Reps <= 0 {
 		return nil, fmt.Errorf("experiment: Reps must be positive")
 	}
 	if len(cfg.Approaches) == 0 {
 		cfg.Approaches = baseline.All()
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	start := time.Now()
 	if cfg.Obs.Tracing() {
@@ -129,100 +119,53 @@ func RunSetCtx(ctx context.Context, set Set, cfg Config) (*SetResult, error) {
 		defer cfg.Obs.End("experiment", "set")
 	}
 
-	type task struct{ xi, rep int }
-	type taskResult struct {
-		xi  int
+	// slots[xi*Reps+rep] holds repetition rep of x value xi.
+	type slot struct {
 		ms  []measurement
 		err error
 	}
-	tasks := make(chan task)
-	results := make(chan taskResult)
-
+	slots := make([]slot, len(set.Values)*cfg.Reps)
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
+	for w := runtime.GOMAXPROCS(0); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for tk := range tasks {
-				// Drain without solving once cancelled: the producer
-				// stops feeding, but tasks already queued must still be
-				// consumed so nobody blocks on a send.
-				if ctx.Err() != nil {
-					continue
+			for {
+				t := int(next.Add(1)) - 1
+				if t >= len(slots) {
+					return
 				}
-				ms, err := runRep(set, cfg, tk.xi, tk.rep)
-				results <- taskResult{xi: tk.xi, ms: ms, err: err}
+				slots[t].ms, slots[t].err = runRep(set, cfg, t/cfg.Reps, t%cfg.Reps)
 			}
 		}()
 	}
-	go func() {
-		defer close(tasks)
-		for xi := range set.Values {
-			for rep := 0; rep < cfg.Reps; rep++ {
-				select {
-				case tasks <- task{xi: xi, rep: rep}:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}
-	}()
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	// Aggregate with online accumulators per (x, approach).
-	type accs struct{ rate, lat, tim stats.Acc }
-	agg := make([]map[string]*accs, len(set.Values))
-	for xi := range agg {
-		agg[xi] = map[string]*accs{}
-		for _, ap := range cfg.Approaches {
-			agg[xi][ap.Name()] = &accs{}
-		}
-	}
-	var firstErr error
-	for tr := range results {
-		if tr.err != nil {
-			if firstErr == nil {
-				firstErr = tr.err
-			}
-			continue
-		}
-		for _, m := range tr.ms {
-			a := agg[tr.xi][m.approach]
-			a.rate.Add(m.rate)
-			a.lat.Add(m.latencyMs)
-			a.tim.Add(m.timeSec)
-		}
-	}
-	// results is closed, so every worker has exited and the producer is
-	// gone: nothing outlives this call even when cancelled mid-set.
-	if firstErr == nil {
-		firstErr = ctx.Err()
-	}
+	wg.Wait()
 
 	sr := &SetResult{Set: set, Config: cfg, Points: make([]Point, len(set.Values))}
 	for xi, x := range set.Values {
+		accs := make([]struct{ rate, lat, tim stats.Acc }, len(cfg.Approaches))
+		for _, sl := range slots[xi*cfg.Reps : (xi+1)*cfg.Reps] {
+			if sl.err != nil {
+				return nil, sl.err
+			}
+			for a, m := range sl.ms {
+				accs[a].rate.Add(m.rate)
+				accs[a].lat.Add(m.latencyMs)
+				accs[a].tim.Add(m.timeSec)
+			}
+		}
 		pt := Point{X: x, Params: set.ParamsAt(x), ByApproach: map[string]Metrics{}}
-		for name, a := range agg[xi] {
-			pt.ByApproach[name] = Metrics{
-				Rate:      a.rate.Summary(),
-				LatencyMs: a.lat.Summary(),
-				TimeSec:   a.tim.Summary(),
+		for a, ap := range cfg.Approaches {
+			pt.ByApproach[ap.Name()] = Metrics{
+				Rate:      accs[a].rate.Summary(),
+				LatencyMs: accs[a].lat.Summary(),
+				TimeSec:   accs[a].tim.Summary(),
 			}
 		}
 		sr.Points[xi] = pt
 	}
 	sr.Elapsed = time.Since(start)
-	if firstErr != nil {
-		if ctx.Err() != nil {
-			// Partial but internally consistent: return the aggregation
-			// of everything that finished, flagged by the context error.
-			return sr, ctx.Err()
-		}
-		return nil, firstErr
-	}
 	return sr, nil
 }
 
@@ -246,7 +189,6 @@ func runRep(set Set, cfg Config, xi, rep int) ([]measurement, error) {
 		}
 		rate, lat := in.Evaluate(st)
 		ms = append(ms, measurement{
-			approach:  ap.Name(),
 			rate:      float64(rate),
 			latencyMs: lat.Millis(),
 			timeSec:   elapsed.Seconds(),

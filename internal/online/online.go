@@ -28,24 +28,19 @@ import (
 	"idde/internal/units"
 )
 
-// Options bounds the incremental work per event.
-type Options struct {
-	// Waves is the number of neighbourhood re-equilibration sweeps
-	// after a join/leave (default 2).
-	Waves int
-	// Epsilon is the minimum benefit improvement for a move.
-	Epsilon float64
-	// PlaceThreshold is the minimum latency-gain-per-MB (s/MB) for an
+// The incremental work per event is bounded by three constants.
+const (
+	// waves is the number of neighbourhood re-equilibration sweeps
+	// after a join/leave.
+	waves = 2
+	// epsilon is the minimum benefit improvement for a move.
+	epsilon = 1e-12
+	// placeThreshold is the minimum latency-gain-per-MB (s/MB) for an
 	// on-demand replica placement, as a fraction of the cloud per-MB
-	// cost (default 0.25: a replica must recover at least a quarter of
-	// a cloud fetch per stored MB).
-	PlaceThreshold float64
-}
-
-// DefaultOptions returns the tuning used in tests and benches.
-func DefaultOptions() Options {
-	return Options{Waves: 2, Epsilon: 1e-12, PlaceThreshold: 0.25}
-}
+	// cost: a replica must recover at least a quarter of a cloud fetch
+	// per stored MB.
+	placeThreshold = 0.25
+)
 
 // Stats accumulates incremental-work accounting.
 type Stats struct {
@@ -60,7 +55,6 @@ type Stats struct {
 // System is a live strategy over a fixed universe of potential users.
 type System struct {
 	in     *model.Instance
-	opt    Options
 	active []bool
 	ledger *model.Ledger
 	deliv  *model.Delivery
@@ -68,16 +62,9 @@ type System struct {
 }
 
 // NewSystem starts with no active users and an empty delivery profile.
-func NewSystem(in *model.Instance, opt Options) *System {
-	if opt.Waves <= 0 {
-		opt.Waves = 2
-	}
-	if opt.PlaceThreshold <= 0 {
-		opt.PlaceThreshold = 0.25
-	}
+func NewSystem(in *model.Instance) *System {
 	return &System{
 		in:     in,
-		opt:    opt,
 		active: make([]bool, in.M()),
 		ledger: model.NewLedger(in, model.NewAllocation(in.M())),
 		deliv:  model.NewDelivery(in.N(), in.K()),
@@ -149,7 +136,7 @@ func (s *System) Leave(j int) (int, error) {
 // bestRespond moves j to its best decision; reports whether it moved.
 func (s *System) bestRespond(j int) bool {
 	best, bestB, curB := s.ledger.Best(j, s.in.Top.Coverage[j])
-	if bestB-curB > s.opt.Epsilon && best != s.ledger.Current(j) {
+	if bestB-curB > epsilon && best != s.ledger.Current(j) {
 		s.ledger.Move(j, best)
 		return true
 	}
@@ -175,7 +162,7 @@ func (s *System) neighbours(j int) []int {
 // requilibrate runs bounded best-response waves over j's neighbourhood.
 func (s *System) requilibrate(j int) int {
 	moves := 0
-	for wave := 0; wave < s.opt.Waves; wave++ {
+	for wave := 0; wave < waves; wave++ {
 		moved := false
 		for _, t := range s.neighbours(j) {
 			if s.bestRespond(t) {
@@ -197,7 +184,7 @@ func (s *System) patchDelivery(j int) {
 	if !a.Allocated() {
 		return
 	}
-	threshold := s.opt.PlaceThreshold * float64(s.in.Top.CloudCost)
+	threshold := placeThreshold * float64(s.in.Top.CloudCost)
 	for _, k := range s.in.Wl.Requests[j] {
 		size := s.in.Wl.Items[k].Size
 		i := a.Server

@@ -31,7 +31,7 @@ func genInstance(t *testing.T, n, m, k int, seed uint64) *model.Instance {
 
 func TestJoinLeaveBasics(t *testing.T) {
 	in := genInstance(t, 12, 80, 4, 1)
-	sys := NewSystem(in, DefaultOptions())
+	sys := NewSystem(in)
 	if sys.ActiveCount() != 0 {
 		t.Fatal("fresh system not empty")
 	}
@@ -71,7 +71,7 @@ func TestJoinLeaveBasics(t *testing.T) {
 
 func TestSequentialJoinsApproachBatchQuality(t *testing.T) {
 	in := genInstance(t, 15, 120, 4, 2)
-	sys := NewSystem(in, DefaultOptions())
+	sys := NewSystem(in)
 	for j := 0; j < in.M(); j++ {
 		if _, err := sys.Join(j); err != nil {
 			t.Fatal(err)
@@ -102,7 +102,7 @@ func TestSequentialJoinsApproachBatchQuality(t *testing.T) {
 
 func TestIncrementalWorkIsBounded(t *testing.T) {
 	in := genInstance(t, 15, 150, 4, 3)
-	sys := NewSystem(in, DefaultOptions())
+	sys := NewSystem(in)
 	maxMoves := 0
 	total := 0
 	for j := 0; j < in.M(); j++ {
@@ -126,7 +126,7 @@ func TestIncrementalWorkIsBounded(t *testing.T) {
 
 func TestLeaveFreesSpectrum(t *testing.T) {
 	in := genInstance(t, 10, 100, 3, 4)
-	sys := NewSystem(in, DefaultOptions())
+	sys := NewSystem(in)
 	for j := 0; j < in.M(); j++ {
 		if _, err := sys.Join(j); err != nil {
 			t.Fatal(err)
@@ -147,7 +147,7 @@ func TestLeaveFreesSpectrum(t *testing.T) {
 
 func TestDeliveryPatchingServesJoiners(t *testing.T) {
 	in := genInstance(t, 12, 80, 3, 5)
-	sys := NewSystem(in, DefaultOptions())
+	sys := NewSystem(in)
 	for j := 0; j < in.M(); j++ {
 		if _, err := sys.Join(j); err != nil {
 			t.Fatal(err)
@@ -168,7 +168,7 @@ func TestDeliveryPatchingServesJoiners(t *testing.T) {
 func TestOnlineDeterministic(t *testing.T) {
 	in := genInstance(t, 10, 60, 3, 6)
 	run := func() (float64, float64, Stats) {
-		sys := NewSystem(in, DefaultOptions())
+		sys := NewSystem(in)
 		for j := 0; j < in.M(); j++ {
 			sys.Join(j)
 		}
@@ -187,7 +187,7 @@ func TestOnlineDeterministic(t *testing.T) {
 
 func TestMetricsEmptySystem(t *testing.T) {
 	in := genInstance(t, 8, 30, 2, 7)
-	sys := NewSystem(in, DefaultOptions())
+	sys := NewSystem(in)
 	r, l := sys.Metrics()
 	if r != 0 || l != 0 {
 		t.Errorf("empty metrics = %v/%v", r, l)

@@ -136,8 +136,8 @@ type ReplaySample struct {
 
 // Replay drives a fresh System through the trace, sampling the
 // objectives every sampleEvery events (0 = only at the end).
-func Replay(in *model.Instance, tr *Trace, opt Options, sampleEvery int) ([]ReplaySample, *System, error) {
-	sys := NewSystem(in, opt)
+func Replay(in *model.Instance, tr *Trace, sampleEvery int) ([]ReplaySample, *System, error) {
+	sys := NewSystem(in)
 	var samples []ReplaySample
 	for idx, e := range tr.Events {
 		if e.User < 0 || e.User >= in.M() {

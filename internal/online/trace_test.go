@@ -90,7 +90,7 @@ func TestReplayTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples, sys, err := Replay(in, tr, DefaultOptions(), 10)
+	samples, sys, err := Replay(in, tr, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,15 +115,15 @@ func TestReplayTrace(t *testing.T) {
 func TestReplayRejectsBadTraces(t *testing.T) {
 	in := genInstance(t, 8, 30, 3, 9)
 	bad := &Trace{Events: []Event{{At: 1, Kind: JoinEvent, User: 999}}}
-	if _, _, err := Replay(in, bad, DefaultOptions(), 0); err == nil {
+	if _, _, err := Replay(in, bad, 0); err == nil {
 		t.Error("unknown user accepted")
 	}
 	bad2 := &Trace{Events: []Event{{At: 1, Kind: "teleport", User: 0}}}
-	if _, _, err := Replay(in, bad2, DefaultOptions(), 0); err == nil {
+	if _, _, err := Replay(in, bad2, 0); err == nil {
 		t.Error("unknown kind accepted")
 	}
 	bad3 := &Trace{Events: []Event{{At: 1, Kind: LeaveEvent, User: 0}}}
-	if _, _, err := Replay(in, bad3, DefaultOptions(), 0); err == nil {
+	if _, _, err := Replay(in, bad3, 0); err == nil {
 		t.Error("leave-before-join accepted")
 	}
 }
@@ -134,11 +134,11 @@ func TestReplayDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _, err := Replay(in, tr, DefaultOptions(), 5)
+	a, _, err := Replay(in, tr, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := Replay(in, tr, DefaultOptions(), 5)
+	b, _, err := Replay(in, tr, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,7 +100,7 @@ func TestCompareAdvantagesAndMarkdown(t *testing.T) {
 	cfg := experiment.Config{
 		Reps: 2, Seed: 5,
 		Approaches: []baseline.Approach{
-			&baseline.IDDEIP{MaxIters: 300, Anneal: true},
+			&baseline.IDDEIP{MaxIters: 300},
 			baseline.NewIDDEG(), baseline.NewSAA(), baseline.NewCDP(), baseline.NewDUPG(),
 		},
 	}

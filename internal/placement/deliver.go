@@ -23,9 +23,7 @@ type DeliverySpec struct {
 	// NaiveGreedy selects the literal re-scan engine (GreedyOpt) instead
 	// of CELF (LazyGreedyOpt). The committed sequence is identical.
 	NaiveGreedy bool
-	// Engine is handed to the chosen engine (Obs). The lazy engine
-	// always runs with ItemLocalGains: both oracles' state is
-	// partitioned by item.
+	// Engine is handed to the chosen engine (Obs).
 	Engine Options
 }
 
@@ -72,9 +70,7 @@ func Deliver(s DeliverySpec) Result {
 	if s.NaiveGreedy {
 		return GreedyOpt(cands, o, s.Engine)
 	}
-	eng := s.Engine
-	eng.ItemLocalGains = true
-	return LazyGreedyOpt(cands, o, eng)
+	return LazyGreedyOpt(cands, o, s.Engine)
 }
 
 // deliveryOracle adapts a latency oracle and the delivery profile under

@@ -23,8 +23,11 @@ type Candidate struct {
 
 // Oracle exposes the marginal structure of a placement problem.
 // Gains must be monotone non-increasing as decisions commit
-// (submodularity) for LazyGreedyOpt to match GreedyOpt. The engines call
-// every method from the caller's goroutine, one call at a time.
+// (submodularity) and item-local — a Commit changes only the gains of
+// candidates sharing its Item, as in both IDDE delivery oracles, whose
+// state is partitioned by item — for LazyGreedyOpt to match GreedyOpt.
+// Feasibility may change across items. The engines call every method
+// from the caller's goroutine, one call at a time.
 type Oracle interface {
 	// Gain reports the total objective reduction of committing c now.
 	Gain(c Candidate) float64
@@ -49,16 +52,6 @@ type Result struct {
 // Options tunes the greedy engines. The zero value is IDDE-G's Phase 2
 // configuration.
 type Options struct {
-	// ItemLocalGains declares that a Commit only changes the gains of
-	// candidates sharing its Item — true for both IDDE delivery oracles,
-	// whose state is partitioned by item, so Deliver always sets it
-	// (feasibility may still change across items; it is re-checked at
-	// every pop). LazyGreedyOpt then tracks staleness per item instead of
-	// globally, skipping refresh evaluations whose result is provably
-	// the cached ratio. The pop — and therefore commit — sequence is
-	// bit-identical; only Result.Evaluations drops (the same argument as
-	// the game engine's dirty-set scheduler).
-	ItemLocalGains bool
 	// Obs receives the engine's telemetry: per-commit trace events
 	// (when a tracer is attached), a commit-gain histogram, and the
 	// final Result cross-wired into counters. nil disables all of it;
@@ -74,9 +67,8 @@ type Options struct {
 // permanently (the Oracle contract makes infeasibility monotone); exact
 // ratio ties are broken by original candidate index, so the committed
 // sequence is independent of the resulting scan order and identical to
-// the historical tombstone loop and to LazyGreedyOpt. It ignores every
-// option except Obs, which lets the reference path emit the same
-// telemetry as LazyGreedyOpt.
+// the historical tombstone loop and to LazyGreedyOpt. Obs lets the
+// reference path emit the same telemetry as LazyGreedyOpt.
 func GreedyOpt(cands []Candidate, o Oracle, opt Options) Result {
 	res := Result{Chosen: make([]Candidate, 0, len(cands))}
 	remaining := append([]Candidate(nil), cands...)
@@ -124,36 +116,27 @@ func GreedyOpt(cands []Candidate, o Oracle, opt Options) Result {
 // LazyGreedyOpt runs the Eq. 17 policy with a lazy priority queue:
 // stale upper bounds are refreshed only when a candidate reaches the
 // top. For submodular gains the output matches GreedyOpt while evaluating
-// far fewer candidates.
+// far fewer candidates. Staleness is tracked per item: a commit bumps
+// only its own item's epoch, so candidates of other items keep their
+// provably unchanged cached ratios (the same argument as the game
+// engine's dirty-set scheduler).
 func LazyGreedyOpt(cands []Candidate, o Oracle, opt Options) Result {
 	var res Result
 	pq := seedHeap(cands, o, &res)
 	pq.init()
 	res.Chosen = make([]Candidate, 0, len(pq))
-	// With ItemLocalGains the staleness epoch is tracked per item: a
-	// commit bumps only its own item's epoch, so candidates of other
-	// items keep their provably unchanged cached ratios.
-	var itemRound []int
-	if opt.ItemLocalGains {
-		maxItem := -1
-		for _, c := range cands {
-			if c.Item > maxItem {
-				maxItem = c.Item
-			}
-		}
-		itemRound = make([]int, maxItem+1)
+	maxItem := -1
+	for _, c := range cands {
+		maxItem = max(maxItem, c.Item)
 	}
-	round := 0
+	itemRound := make([]int, maxItem+1)
 	for len(pq) > 0 {
 		top := pq[0]
 		if !o.Feasible(top.c) {
 			pq.popTop() // capacity shrank; gone forever
 			continue
 		}
-		epoch := round
-		if itemRound != nil {
-			epoch = itemRound[top.c.Item]
-		}
+		epoch := itemRound[top.c.Item]
 		if top.round != epoch {
 			// Stale bound: refresh and reposition. Submodularity means the
 			// refreshed ratio never rises, so sifting down from the root is
@@ -174,10 +157,7 @@ func LazyGreedyOpt(cands []Candidate, o Oracle, opt Options) Result {
 		res.TotalGain += realized
 		res.Chosen = append(res.Chosen, top.c)
 		traceCommit(opt.Obs, o, &res, top.c, realized, top.ratio)
-		round++
-		if itemRound != nil {
-			itemRound[top.c.Item]++
-		}
+		itemRound[top.c.Item]++
 	}
 	publishResult(opt.Obs, &res)
 	return res

@@ -26,21 +26,16 @@ import (
 	"idde/internal/units"
 )
 
-// Options tunes the power-control pass.
-type Options struct {
-	// MaxRounds bounds the sweep count (default 16).
-	MaxRounds int
-	// Step is the multiplicative power reduction tried per round
-	// (default 0.7, i.e. −1.5 dB steps).
-	Step float64
-	// MinPower floors the tuned power (default 0.2 W).
-	MinPower units.Watts
-}
-
-// DefaultOptions returns the configuration used by the benches.
-func DefaultOptions() Options {
-	return Options{MaxRounds: 16, Step: 0.7, MinPower: 0.2}
-}
+// The power-control pass is tuned by three constants.
+const (
+	// maxRounds bounds the sweep count.
+	maxRounds = 16
+	// step is the multiplicative power reduction tried per round
+	// (−1.5 dB steps).
+	step = 0.7
+	// minPower floors the tuned power.
+	minPower units.Watts = 0.2
+)
 
 // Result reports the outcome of a pass.
 type Result struct {
@@ -130,18 +125,9 @@ func (ev *evaluator) avgRate() units.Rate {
 }
 
 // Tune runs the power-control pass for the given allocation profile.
-func Tune(in *model.Instance, alloc model.Allocation, opt Options) (*Result, error) {
+func Tune(in *model.Instance, alloc model.Allocation) (*Result, error) {
 	if err := in.CheckAllocation(alloc); err != nil {
 		return nil, fmt.Errorf("power: %w", err)
-	}
-	if opt.MaxRounds <= 0 {
-		opt.MaxRounds = 16
-	}
-	if opt.Step <= 0 || opt.Step >= 1 {
-		return nil, fmt.Errorf("power: Step must lie in (0,1), got %v", opt.Step)
-	}
-	if opt.MinPower < 0 {
-		return nil, fmt.Errorf("power: negative MinPower")
 	}
 
 	ev := newEvaluator(in, alloc)
@@ -153,15 +139,15 @@ func Tune(in *model.Instance, alloc model.Allocation, opt Options) (*Result, err
 		floor[j] = ev.rate(j)
 	}
 
-	for round := 0; round < opt.MaxRounds; round++ {
+	for round := 0; round < maxRounds; round++ {
 		changed := false
 		for j := 0; j < in.M(); j++ {
 			if !ev.alloc[j].Allocated() {
 				continue
 			}
-			cand := units.Watts(float64(ev.powers[j]) * opt.Step)
-			if cand < opt.MinPower {
-				cand = opt.MinPower
+			cand := units.Watts(float64(ev.powers[j]) * step)
+			if cand < minPower {
+				cand = minPower
 			}
 			if cand >= ev.powers[j] {
 				continue

@@ -37,7 +37,7 @@ func solveAlloc(in *model.Instance) model.Allocation {
 func TestTuneIsParetoOnRates(t *testing.T) {
 	in := genInstance(t, 15, 120, 4, 1)
 	alloc := solveAlloc(in)
-	res, err := Tune(in, alloc, DefaultOptions())
+	res, err := Tune(in, alloc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestTuneSavesPower(t *testing.T) {
 	// cap-limited, so nearly everyone can shed power.
 	in := genInstance(t, 15, 60, 3, 2)
 	alloc := solveAlloc(in)
-	res, err := Tune(in, alloc, DefaultOptions())
+	res, err := Tune(in, alloc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestTuneSavesPower(t *testing.T) {
 		t.Errorf("only %d of %d users tuned in an uncongested system", res.TunedUsers, in.M())
 	}
 	for j, p := range res.Powers {
-		if p < DefaultOptions().MinPower-1e-12 {
+		if p < minPower-1e-12 {
 			t.Errorf("user %d below MinPower: %v", j, p)
 		}
 		if p > in.Top.Users[j].Power+1e-12 {
@@ -93,7 +93,7 @@ func TestTuneImprovesMixedLoadRates(t *testing.T) {
 	for seed := uint64(3); seed < 8; seed++ {
 		in := genInstance(t, 15, 150, 4, seed)
 		alloc := solveAlloc(in)
-		res, err := Tune(in, alloc, DefaultOptions())
+		res, err := Tune(in, alloc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +113,7 @@ func TestTuneImprovesMixedLoadRates(t *testing.T) {
 func TestTuneAgreesWithFullModel(t *testing.T) {
 	in := genInstance(t, 12, 100, 3, 4)
 	alloc := solveAlloc(in)
-	res, err := Tune(in, alloc, DefaultOptions())
+	res, err := Tune(in, alloc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +131,11 @@ func TestTuneAgreesWithFullModel(t *testing.T) {
 func TestTuneDeterministic(t *testing.T) {
 	in := genInstance(t, 12, 80, 3, 5)
 	alloc := solveAlloc(in)
-	a, err := Tune(in, alloc, DefaultOptions())
+	a, err := Tune(in, alloc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Tune(in, alloc, DefaultOptions())
+	b, err := Tune(in, alloc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,24 +148,8 @@ func TestTuneDeterministic(t *testing.T) {
 
 func TestTuneValidation(t *testing.T) {
 	in := genInstance(t, 10, 40, 3, 6)
-	alloc := solveAlloc(in)
-	if _, err := Tune(in, model.NewAllocation(3), DefaultOptions()); err == nil {
+	if _, err := Tune(in, model.NewAllocation(3)); err == nil {
 		t.Error("wrong-length allocation accepted")
-	}
-	bad := DefaultOptions()
-	bad.Step = 1.5
-	if _, err := Tune(in, alloc, bad); err == nil {
-		t.Error("Step >= 1 accepted")
-	}
-	bad = DefaultOptions()
-	bad.Step = 0
-	if _, err := Tune(in, alloc, bad); err == nil {
-		t.Error("Step = 0 accepted")
-	}
-	bad = DefaultOptions()
-	bad.MinPower = -1
-	if _, err := Tune(in, alloc, bad); err == nil {
-		t.Error("negative MinPower accepted")
 	}
 }
 
@@ -175,7 +159,7 @@ func TestApplyValidation(t *testing.T) {
 		t.Error("wrong-length powers accepted")
 	}
 	alloc := solveAlloc(in)
-	res, err := Tune(in, alloc, DefaultOptions())
+	res, err := Tune(in, alloc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +172,7 @@ func TestApplyValidation(t *testing.T) {
 func TestApplyDoesNotMutateOriginal(t *testing.T) {
 	in := genInstance(t, 10, 40, 3, 8)
 	alloc := solveAlloc(in)
-	res, err := Tune(in, alloc, DefaultOptions())
+	res, err := Tune(in, alloc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,11 +33,21 @@ func (s BreakerState) String() string {
 	}
 }
 
+const (
+	// probeFraction is the fraction of requests admitted as probes
+	// while half-open, decided by a seeded per-request draw so admission
+	// is deterministic and order-free.
+	probeFraction = 0.2
+	// probeSuccesses is the number of consecutive successful probes
+	// that closes a half-open breaker.
+	probeSuccesses = 3
+)
+
 // admits is the breaker admission rule every routed request runs: closed
 // admits everyone, open admits no one, and half-open admits the request
 // as a probe when its seeded uniform draw in [0,1) is below
 // probeFraction.
-func (s BreakerState) admits(probeDraw, probeFraction float64) bool {
+func (s BreakerState) admits(probeDraw float64) bool {
 	switch s {
 	case Closed:
 		return true
@@ -56,13 +66,6 @@ type BreakerConfig struct {
 	// OpenTimeout is how long an open breaker rejects before moving to
 	// half-open, in virtual seconds (default 2s).
 	OpenTimeout units.Seconds
-	// ProbeFraction is the fraction of requests admitted as probes while
-	// half-open, decided by a seeded per-request draw so admission is
-	// deterministic and order-free (default 0.2).
-	ProbeFraction float64
-	// ProbeSuccesses is the number of consecutive successful probes that
-	// closes a half-open breaker (default 3).
-	ProbeSuccesses int
 }
 
 // withDefaults fills the zero fields.
@@ -72,12 +75,6 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	}
 	if c.OpenTimeout <= 0 {
 		c.OpenTimeout = 2
-	}
-	if c.ProbeFraction <= 0 || c.ProbeFraction > 1 {
-		c.ProbeFraction = 0.2
-	}
-	if c.ProbeSuccesses <= 0 {
-		c.ProbeSuccesses = 3
 	}
 	return c
 }
@@ -129,7 +126,7 @@ func (b *Breaker) Record(now units.Seconds, success bool) {
 		b.consecFail = 0
 		if b.state == HalfOpen {
 			b.probeOK++
-			if b.probeOK >= b.cfg.ProbeSuccesses {
+			if b.probeOK >= probeSuccesses {
 				b.state = Closed
 				b.transitions++
 			}

@@ -7,17 +7,11 @@ import (
 )
 
 func TestBreakerStateMachine(t *testing.T) {
-	cfg := BreakerConfig{
-		FailureThreshold: 3,
-		OpenTimeout:      2,
-		ProbeFraction:    0.5,
-		ProbeSuccesses:   2,
-	}
-	b := NewBreaker(cfg)
+	b := NewBreaker(BreakerConfig{FailureThreshold: 3, OpenTimeout: 2})
 	// admit applies the data plane's admission rule to the breaker's
 	// state at now, as evalRequest does on the round snapshot.
 	admit := func(now units.Seconds, probeDraw float64) bool {
-		return b.State(now).admits(probeDraw, cfg.ProbeFraction)
+		return b.State(now).admits(probeDraw)
 	}
 	if s := b.State(0); s != Closed {
 		t.Fatalf("new breaker state = %v, want closed", s)
@@ -58,10 +52,10 @@ func TestBreakerStateMachine(t *testing.T) {
 	if s := b.State(2.5); s != HalfOpen {
 		t.Fatalf("state after open timeout = %v, want half-open", s)
 	}
-	if admit(2.5, 0.6) {
+	if admit(2.5, probeFraction) {
 		t.Fatal("half-open must reject draws >= probe fraction")
 	}
-	if !admit(2.5, 0.4) {
+	if !admit(2.5, 0.9*probeFraction) {
 		t.Fatal("half-open must admit draws < probe fraction")
 	}
 
@@ -78,9 +72,11 @@ func TestBreakerStateMachine(t *testing.T) {
 	if s := b.State(5); s != HalfOpen {
 		t.Fatalf("state = %v, want half-open", s)
 	}
-	b.Record(5, true)
-	if s := b.State(5); s != HalfOpen {
-		t.Fatalf("one probe success should not close; state = %v", s)
+	for i := 1; i < probeSuccesses; i++ {
+		b.Record(5, true)
+		if s := b.State(5); s != HalfOpen {
+			t.Fatalf("%d probe successes should not close; state = %v", i, s)
+		}
 	}
 	b.Record(5, true)
 	if s := b.State(5); s != Closed {
@@ -105,8 +101,7 @@ func TestBreakerOpenFailureRefreshesTimeout(t *testing.T) {
 
 func TestBreakerDefaults(t *testing.T) {
 	c := BreakerConfig{}.withDefaults()
-	if c.FailureThreshold <= 0 || c.OpenTimeout <= 0 ||
-		c.ProbeFraction <= 0 || c.ProbeFraction > 1 || c.ProbeSuccesses <= 0 {
+	if c.FailureThreshold <= 0 || c.OpenTimeout <= 0 {
 		t.Fatalf("defaults not filled: %+v", c)
 	}
 	if Closed.String() != "closed" || Open.String() != "open" || HalfOpen.String() != "half-open" {

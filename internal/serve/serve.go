@@ -63,11 +63,6 @@ type Options struct {
 	// accumulated virtual latency exceeds it, the request stops retrying
 	// edges and finishes from the cloud (default 2s).
 	Deadline units.Seconds
-	// MaxRetries bounds retries per source visit after the first attempt
-	// (default 2).
-	MaxRetries int
-	// Backoff is the base retry delay, doubling per attempt (default 2ms).
-	Backoff units.Seconds
 	// Jitter is the uniform jitter fraction applied to every backoff
 	// delay, in [0,1]. The zero value means no jitter; a value outside
 	// [0,1] is replaced by 0.5.
@@ -90,7 +85,9 @@ type Options struct {
 	Waves int
 	// Faults is the wired-hop loss/stall model in force during the soak.
 	// When a Campaign is set, its Faults field is used instead unless
-	// this one is explicitly non-zero.
+	// this one injects faults. MaxRetries bounds retries per source
+	// visit after the first attempt (default 2); Backoff is the base
+	// retry delay, doubling per attempt (default 2ms).
 	Faults des.Faults
 	// Campaign is the fault timeline (nil = healthy soak).
 	Campaign *chaos.Campaign
@@ -139,12 +136,6 @@ func (o Options) withDefaults() Options {
 	if o.Deadline <= 0 {
 		o.Deadline = 2
 	}
-	if o.MaxRetries <= 0 {
-		o.MaxRetries = 2
-	}
-	if o.Backoff <= 0 {
-		o.Backoff = units.Seconds(0.002)
-	}
 	if o.Jitter < 0 || o.Jitter > 1 {
 		o.Jitter = 0.5
 	}
@@ -160,6 +151,12 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Campaign != nil && !o.Faults.Enabled() {
 		o.Faults = o.Campaign.Faults
+	}
+	if o.Faults.MaxRetries <= 0 {
+		o.Faults.MaxRetries = 2
+	}
+	if o.Faults.Backoff <= 0 {
+		o.Faults.Backoff = units.Seconds(0.002)
 	}
 	o.SLO = o.SLO.withDefaults(o.Deadline)
 	if o.FlightCap <= 0 {
@@ -291,16 +288,8 @@ func NewEngine(healthy *model.Instance, st model.Strategy, opt Options) (*Engine
 	e.flightSink = opt.FlightSink
 	if opt.SLO.Enabled {
 		e.slos = []*obs.SLO{
-			obs.NewSLO(obs.SLOConfig{
-				Name: "availability", Target: opt.SLO.AvailabilityTarget,
-				FastWindow: opt.SLO.FastWindow, SlowWindow: opt.SLO.SlowWindow,
-				FastBurn: opt.SLO.FastBurn, SlowBurn: opt.SLO.SlowBurn,
-			}),
-			obs.NewSLO(obs.SLOConfig{
-				Name: "latency", Target: opt.SLO.LatencyTarget,
-				FastWindow: opt.SLO.FastWindow, SlowWindow: opt.SLO.SlowWindow,
-				FastBurn: opt.SLO.FastBurn, SlowBurn: opt.SLO.SlowBurn,
-			}),
+			obs.NewSLO(obs.SLOConfig{Name: "availability", Target: opt.SLO.AvailabilityTarget}),
+			obs.NewSLO(obs.SLOConfig{Name: "latency", Target: opt.SLO.LatencyTarget}),
 		}
 		e.latHist = &obs.Histogram{}
 		e.epochCells = make([][]epochCell, len(e.slos))
@@ -502,7 +491,7 @@ func evalRequest(v *view, j, k int, s *rng.Stream, out *RequestOutcome, rec *obs
 	// the re-planner re-attaches the user.
 	attachmentDown := a.Allocated() && v.fv.Top.Servers[a.Server].Failed
 
-	admit := func(o int) bool { return v.brState[o].admits(probeDraw, opt.Breaker.ProbeFraction) }
+	admit := func(o int) bool { return v.brState[o].admits(probeDraw) }
 
 	// tried lists the sources visited so far; a request visits a few at
 	// most, so a slice beats a map and stays off the heap.
@@ -569,8 +558,8 @@ func evalRequest(v *view, j, k int, s *rng.Stream, out *RequestOutcome, rec *obs
 			if v.fv.Top.Servers[src].Failed {
 				out.visits = append(out.visits, visit{server: src, ok: false})
 				out.Failovers++
-				latency += opt.Backoff // connection-refused detection cost
-				hop(src, kind, 0, opt.Backoff, false)
+				latency += opt.Faults.Backoff // connection-refused detection cost
+				hop(src, kind, 0, opt.Faults.Backoff, false)
 				tried = append(tried, src)
 				continue
 			}
@@ -589,14 +578,14 @@ func evalRequest(v *view, j, k int, s *rng.Stream, out *RequestOutcome, rec *obs
 			// no retries.
 			out.visits = append(out.visits, visit{server: src, ok: false})
 			out.Failovers++
-			latency += opt.Backoff
-			hop(src, kind, 0, opt.Backoff, false)
+			latency += opt.Faults.Backoff
+			hop(src, kind, 0, opt.Faults.Backoff, false)
 			tried = append(tried, src)
 			continue
 		}
 		hopStart, retriesBefore := latency, out.Retries
 		ok := false
-		for attempt := 0; attempt <= opt.MaxRetries; attempt++ {
+		for attempt := 0; attempt <= opt.Faults.MaxRetries; attempt++ {
 			attemptLat := edgeLat
 			if opt.Faults.StallProb > 0 && s.Bool(opt.Faults.StallProb) {
 				attemptLat += opt.Faults.StallTime
@@ -609,7 +598,7 @@ func evalRequest(v *view, j, k int, s *rng.Stream, out *RequestOutcome, rec *obs
 			// Loss detected at the end of the attempt: the time is spent
 			// either way, then jittered exponential backoff.
 			out.Retries++
-			backoff := units.Seconds(float64(opt.Backoff) * math.Pow(2, float64(attempt)))
+			backoff := units.Seconds(float64(opt.Faults.Backoff) * math.Pow(2, float64(attempt)))
 			backoff = units.Seconds(float64(backoff) * (1 + opt.Jitter*s.Float64()))
 			latency += attemptLat + backoff
 			if latency > opt.Deadline {

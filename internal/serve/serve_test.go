@@ -46,7 +46,7 @@ func testOptions(seed uint64) Options {
 		RPS:      100,
 		Tick:     1,
 		Duration: 20,
-		Faults:   des.Faults{LossProb: 0.02, MaxRetries: 2},
+		Faults:   des.Faults{LossProb: 0.02},
 	}
 }
 
@@ -93,7 +93,7 @@ func outageCampaign(in *model.Instance, st model.Strategy) *chaos.Campaign {
 		Events: []chaos.Event{
 			{At: 5, Duration: 8, Kind: chaos.ServerOutage, Servers: []int{target}},
 		},
-		Faults: des.Faults{LossProb: 0.02, MaxRetries: 2},
+		Faults: des.Faults{LossProb: 0.02},
 	}
 }
 
@@ -193,7 +193,7 @@ func TestSoakHedgingReducesTail(t *testing.T) {
 	in := genInstance(t, 10, 60, 4, 11)
 	st := solved(t, in)
 	base := testOptions(5)
-	base.Faults = des.Faults{LossProb: 0.05, StallProb: 0.10, StallTime: units.Seconds(0.25), MaxRetries: 2}
+	base.Faults = des.Faults{LossProb: 0.05, StallProb: 0.10, StallTime: units.Seconds(0.25)}
 
 	plain, err := Run(context.Background(), in, st, base)
 	if err != nil {
@@ -252,6 +252,31 @@ func TestJitterDefaults(t *testing.T) {
 	} {
 		if got := (Options{Jitter: tc.in}).withDefaults().Jitter; got != tc.want {
 			t.Errorf("Jitter %v resolved to %v, want %v", tc.in, got, tc.want)
+		}
+	}
+}
+
+// TestRetryDefaults pins where the retry budget comes from: the fault
+// model in force (Options.Faults, or the campaign's when Options.Faults
+// injects nothing), with serve's 2 retries and 2 ms backoff filling
+// whatever that model leaves zero.
+func TestRetryDefaults(t *testing.T) {
+	camp := func(f des.Faults) *chaos.Campaign { return &chaos.Campaign{Faults: f} }
+	for _, tc := range []struct {
+		name        string
+		opt         Options
+		wantRetries int
+		wantBackoff units.Seconds
+	}{
+		{"zero", Options{}, 2, 0.002},
+		{"own", Options{Faults: des.Faults{LossProb: 0.1, MaxRetries: 4, Backoff: 0.01}}, 4, 0.01},
+		{"campaign", Options{Campaign: camp(des.Faults{LossProb: 0.1, MaxRetries: 5, Backoff: 0.003})}, 5, 0.003},
+		{"campaign-zero", Options{Campaign: camp(des.Faults{LossProb: 0.1})}, 2, 0.002},
+		{"own-wins", Options{Faults: des.Faults{LossProb: 0.1}, Campaign: camp(des.Faults{MaxRetries: 5})}, 2, 0.002},
+	} {
+		f := tc.opt.withDefaults().Faults
+		if f.MaxRetries != tc.wantRetries || f.Backoff != tc.wantBackoff {
+			t.Errorf("%s: %d retries, %v backoff; want %d, %v", tc.name, f.MaxRetries, f.Backoff, tc.wantRetries, tc.wantBackoff)
 		}
 	}
 }

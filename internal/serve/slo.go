@@ -13,7 +13,8 @@ import (
 // is at or under LatencyThreshold) — evaluated at every round barrier
 // with the multi-window fast/slow burn-rate rule, and accounted per
 // chaos epoch so a campaign's fault windows can be compared against its
-// healthy ones. Everything runs on the virtual clock, so burn-rate
+// healthy ones. The windows and breach thresholds are obs.SLOConfig's
+// defaults (5 and 30 rounds, burn rates 14.4 and 6). Everything runs on the virtual clock, so burn-rate
 // trajectories (and dump triggers) are deterministic for a fixed seed.
 type SLOOptions struct {
 	// Enabled turns the engine on; all other fields default when zero.
@@ -26,10 +27,6 @@ type SLOOptions struct {
 	// (default Deadline/8 — generous against a healthy edge hit, tight
 	// against retry storms and cloud fallbacks).
 	LatencyThreshold units.Seconds
-	// FastWindow/SlowWindow (rounds) and FastBurn/SlowBurn pass through
-	// to obs.SLOConfig (defaults 5/30 and 14.4/6).
-	FastWindow, SlowWindow int
-	FastBurn, SlowBurn     float64
 }
 
 // withDefaults resolves the zero fields against the request deadline.

@@ -1,10 +1,10 @@
 // Package solver provides a time-budgeted anytime search over arbitrary
-// combinatorial states: multi-start hill climbing with an optional
-// simulated-annealing acceptance rule. It is the stand-in for the IBM
-// CPLEX CP Optimizer used by the paper's IDDE-IP baseline (§4.1): like
-// the CP optimizer with its 100-second search cap, it consumes a fixed
-// time budget and returns the best feasible incumbent found, without any
-// optimality guarantee. See DESIGN.md §4 for the substitution rationale.
+// combinatorial states: multi-start simulated annealing. It is the
+// stand-in for the IBM CPLEX CP Optimizer used by the paper's IDDE-IP
+// baseline (§4.1): like the CP optimizer with its 100-second search cap,
+// it consumes a fixed time budget and returns the best feasible
+// incumbent found, without any optimality guarantee. See DESIGN.md §4
+// for the substitution rationale.
 package solver
 
 import (
@@ -35,14 +35,6 @@ type Options struct {
 	Budget time.Duration
 	// MaxIters caps candidate evaluations; used for deterministic tests.
 	MaxIters int
-	// RestartAfter restarts from a fresh Initial after this many
-	// non-improving iterations (0 = n/50 of MaxIters or 2000).
-	RestartAfter int
-	// Anneal enables simulated-annealing acceptance of downhill moves.
-	Anneal bool
-	// InitTemp is the initial temperature relative to the initial
-	// score's magnitude (default 0.1).
-	InitTemp float64
 	// Seed drives all randomness.
 	Seed uint64
 }
@@ -62,16 +54,23 @@ type Result[S any] struct {
 	HitBudget bool
 }
 
-// Maximize runs the anytime search.
+const (
+	// restartAfter is the number of non-improving iterations after
+	// which the search restarts from a fresh Initial.
+	restartAfter = 2000
+	// initTemp is the initial annealing temperature relative to the
+	// start state's score magnitude; it cools by 0.05% per downhill
+	// proposal.
+	initTemp = 0.1
+)
+
+// Maximize runs the anytime search: uphill proposals are always
+// accepted, downhill ones with the Metropolis probability at a
+// geometrically cooling temperature, and the search restarts from a
+// fresh Initial after restartAfter non-improving iterations.
 func Maximize[S any](p Problem[S], opt Options) Result[S] {
 	if opt.Budget <= 0 && opt.MaxIters <= 0 {
 		opt.MaxIters = 10000
-	}
-	if opt.RestartAfter <= 0 {
-		opt.RestartAfter = 2000
-	}
-	if opt.InitTemp <= 0 {
-		opt.InitTemp = 0.1
 	}
 	r := rng.New(opt.Seed)
 	start := time.Now()
@@ -84,7 +83,7 @@ func Maximize[S any](p Problem[S], opt Options) Result[S] {
 	curScore := p.Score(cur)
 	res := Result[S]{Best: p.Clone(cur), BestScore: curScore}
 
-	temp := opt.InitTemp * (math.Abs(curScore) + 1)
+	temp := initTemp * (math.Abs(curScore) + 1)
 	mut := r.Split("mutate")
 	acc := r.Split("accept")
 	sinceImprove := 0
@@ -105,7 +104,7 @@ func Maximize[S any](p Problem[S], opt Options) Result[S] {
 		res.Iterations++
 
 		accept := score > curScore
-		if !accept && opt.Anneal && temp > 1e-12 {
+		if !accept && temp > 1e-12 {
 			if delta := score - curScore; delta > -20*temp {
 				accept = acc.Float64() < math.Exp(delta/temp)
 			}
@@ -121,7 +120,7 @@ func Maximize[S any](p Problem[S], opt Options) Result[S] {
 			}
 		}
 		sinceImprove++
-		if sinceImprove >= opt.RestartAfter {
+		if sinceImprove >= restartAfter {
 			res.Restarts++
 			cur = p.Initial(r.SplitN("restart", res.Restarts))
 			curScore = p.Score(cur)
@@ -129,7 +128,7 @@ func Maximize[S any](p Problem[S], opt Options) Result[S] {
 				res.Best = p.Clone(cur)
 				res.BestScore = curScore
 			}
-			temp = opt.InitTemp * (math.Abs(curScore) + 1)
+			temp = initTemp * (math.Abs(curScore) + 1)
 			sinceImprove = 0
 		}
 	}

@@ -29,7 +29,7 @@ func (sc *Scenario) TunePower(st *Strategy) (*PowerReport, error) {
 	if st == nil || st.sc != sc {
 		return nil, fmt.Errorf("idde: strategy does not belong to this scenario")
 	}
-	res, err := power.Tune(sc.in, st.raw.Alloc, power.DefaultOptions())
+	res, err := power.Tune(sc.in, st.raw.Alloc)
 	if err != nil {
 		return nil, err
 	}
