@@ -143,11 +143,6 @@ func (sc *Scenario) TotalStorageMB() float64 {
 	return float64(sc.in.Wl.TotalCapacity())
 }
 
-// Coverage reports the ids of the edge servers covering the user.
-func (sc *Scenario) Coverage(user int) []int {
-	return append([]int(nil), sc.in.Top.Coverage[user]...)
-}
-
 // Replica identifies one delivery decision σ_{i,k}=1.
 type Replica struct {
 	Server, Item int
@@ -293,14 +288,6 @@ type SimReport struct {
 	MaxInflation float64
 	// Events is the number of simulation events processed.
 	Events int
-
-	// Fault accounting, populated only by SimulateUnreliable: hop
-	// retransmissions, abandoned sources, requests that exhausted every
-	// edge replica and fell back to the cloud, and injected stalls.
-	Retries        int
-	Failovers      int
-	CloudFallbacks int
-	Stalls         int
 }
 
 // Simulate executes the strategy's transfers on the discrete-event
@@ -314,56 +301,6 @@ func (sc *Scenario) Simulate(st *Strategy, spreadSeconds float64, seed uint64) *
 		CloudRequests: rep.CloudRequests,
 		MaxInflation:  rep.MaxQueueingInflation(sc.in, st.raw),
 		Events:        rep.Events,
-	}
-}
-
-// FaultProfile configures the unreliable wired-transfer model: each
-// store-and-forward hop may lose its payload (detected at the end of
-// the attempt, as a checksum would) or stall before starting. Lost hops
-// are retried with exponential backoff up to MaxRetries, after which
-// the request fails over to its next-best replica and ultimately to the
-// cloud, which stays reliable. Over-the-air delivery is unaffected.
-type FaultProfile struct {
-	// LinkLossProb is the per-hop-attempt loss probability in [0,1).
-	LinkLossProb float64
-	// StallProb is the per-hop probability of an injected StallMs pause
-	// before the transfer starts.
-	StallProb float64
-	StallMs   float64
-	// MaxRetries bounds retransmissions per hop (default 3).
-	MaxRetries int
-	// BackoffMs is the base retry delay, doubled per attempt
-	// (default 2ms).
-	BackoffMs float64
-}
-
-func (f FaultProfile) raw() des.Faults {
-	return des.Faults{
-		LossProb:   f.LinkLossProb,
-		StallProb:  f.StallProb,
-		StallTime:  units.Seconds(f.StallMs / 1e3),
-		MaxRetries: f.MaxRetries,
-		Backoff:    units.Seconds(f.BackoffMs / 1e3),
-	}
-}
-
-// SimulateUnreliable executes the strategy on the discrete-event
-// simulator with the given fault profile active on every wired link.
-// A zero-valued profile reproduces Simulate exactly. The seed drives
-// arrivals and every fault draw, so identical seeds give identical
-// reports.
-func (sc *Scenario) SimulateUnreliable(st *Strategy, spreadSeconds float64, faults FaultProfile, seed uint64) *SimReport {
-	rep := des.Simulate(sc.in, st.raw, des.SimOptions{Spread: units.Seconds(spreadSeconds), Faults: faults.raw()}, rng.New(seed))
-	return &SimReport{
-		AvgLatencyMs:   rep.Avg.Millis(),
-		AnalyticAvgMs:  rep.AnalyticAvg.Millis(),
-		CloudRequests:  rep.CloudRequests,
-		MaxInflation:   rep.MaxQueueingInflation(sc.in, st.raw),
-		Events:         rep.Events,
-		Retries:        rep.Retries,
-		Failovers:      rep.Failovers,
-		CloudFallbacks: rep.CloudFallbacks,
-		Stalls:         rep.Stalls,
 	}
 }
 

@@ -39,7 +39,7 @@ func TestScenarioDimensions(t *testing.T) {
 	if sc.TotalStorageMB() <= 0 {
 		t.Error("no storage")
 	}
-	if len(sc.Coverage(0)) == 0 {
+	if len(sc.in.Top.Coverage[0]) == 0 {
 		t.Error("user 0 uncovered")
 	}
 }
@@ -216,32 +216,6 @@ func TestCustomScenarioKnobs(t *testing.T) {
 	}
 }
 
-func TestTunePower(t *testing.T) {
-	sc := testScenario(t, 10)
-	st, err := sc.Solve(IDDEG, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := sc.TunePower(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.AvgRateAfterMBps < rep.AvgRateBeforeMBps-1e-9 {
-		t.Errorf("power pass lowered rate: %v -> %v", rep.AvgRateBeforeMBps, rep.AvgRateAfterMBps)
-	}
-	if rep.SavedWatts < 0 || len(rep.PowersW) != sc.Users() {
-		t.Errorf("report malformed: %+v", rep)
-	}
-	// A strategy from another scenario is rejected.
-	other := testScenario(t, 11)
-	if _, err := other.TunePower(st); err == nil {
-		t.Error("foreign strategy accepted")
-	}
-	if _, err := sc.TunePower(nil); err == nil {
-		t.Error("nil strategy accepted")
-	}
-}
-
 func TestSimulateMobilityAPI(t *testing.T) {
 	sc := testScenario(t, 12)
 	eps, err := sc.SimulateMobility(MobilityConfig{
@@ -318,46 +292,6 @@ func TestInspectAndDOT(t *testing.T) {
 
 func contains(s, sub string) bool {
 	return len(s) >= len(sub) && strings.Contains(s, sub)
-}
-
-func TestInjectFailureAPI(t *testing.T) {
-	sc := testScenario(t, 15)
-	st, err := sc.Solve(IDDEG, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	degraded, repaired, rep, err := sc.InjectFailure(st, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.FailedServer != 0 {
-		t.Errorf("report names server %d", rep.FailedServer)
-	}
-	if repaired.AvgRateMBps <= 0 {
-		t.Error("repaired strategy has no rate")
-	}
-	// The repaired strategy belongs to the degraded scenario and can be
-	// simulated there.
-	sim := degraded.Simulate(repaired, 1e6, 1)
-	if sim.Events == 0 {
-		t.Error("simulation of repaired strategy did nothing")
-	}
-	// No user on the failed server.
-	for j := 0; j < degraded.Users(); j++ {
-		if s, _, ok := repaired.Assignment(j); ok && s == 0 {
-			t.Fatalf("user %d still on failed server", j)
-		}
-	}
-	// Foreign/nil strategies rejected.
-	if _, _, _, err := sc.InjectFailure(nil, 0); err == nil {
-		t.Error("nil strategy accepted")
-	}
-	if _, _, _, err := degraded.InjectFailure(st, 1); err == nil {
-		t.Error("foreign strategy accepted")
-	}
-	if _, _, _, err := sc.InjectFailure(st, 99); err == nil {
-		t.Error("unknown server accepted")
-	}
 }
 
 func TestScenarioDeterminism(t *testing.T) {

@@ -22,7 +22,6 @@ import (
 	"idde/internal/model"
 	"idde/internal/online"
 	"idde/internal/placement"
-	"idde/internal/power"
 	"idde/internal/repair"
 	"idde/internal/rng"
 	"idde/internal/topology"
@@ -228,28 +227,6 @@ func BenchmarkLatencyGainOracle(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPowerControl measures the optional transmit-power
-// pass (extension; see internal/power) and reports its rate uplift.
-func BenchmarkAblationPowerControl(b *testing.B) {
-	in, err := experiment.BuildInstance(experiment.Params{N: 15, M: 150, K: 4, Density: 1.0}, 29)
-	if err != nil {
-		b.Fatal(err)
-	}
-	alloc := core.Solve(in, core.DefaultOptions()).Strategy.Alloc
-	var res *power.Result
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err = power.Tune(in, alloc)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(res.AvgRateBefore), "rate-before-MBps")
-	b.ReportMetric(float64(res.AvgRateAfter), "rate-after-MBps")
-	b.ReportMetric(float64(res.SavedWatts), "saved-W")
-}
-
 // BenchmarkMobilityEpochs measures the future-work mobility loop: users
 // move, IDDE-G re-solves, replicas migrate.
 func BenchmarkMobilityEpochs(b *testing.B) {
@@ -347,19 +324,19 @@ func BenchmarkFailureRepair(b *testing.B) {
 	var rep *repair.Report
 	for i := 0; i < b.N; i++ {
 		f := i % in.N()
-		deg, err := repair.FailServer(in, f)
+		deg, err := repair.Degrade(in, repair.Degradation{FailedServers: []int{f}})
 		if err != nil {
 			b.Fatal(err)
 		}
-		_, rep, err = repair.Repair(in, deg, st, f, repair.Options{})
+		_, rep, err = repair.RepairDegraded(in, deg, st, repair.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
 	if rep != nil {
-		b.ReportMetric(float64(rep.DisplacedUsers), "displaced")
 		b.ReportMetric(float64(rep.Moves), "moves")
+		b.ReportMetric(float64(rep.ReplacedReplicas), "replaced")
 	}
 }
 

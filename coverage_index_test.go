@@ -54,11 +54,11 @@ func TestCoverageIndexIsInverse(t *testing.T) {
 			cases[fmt.Sprintf("Views(%d)[%d]", tiles, v)] = view
 		}
 	}
-	failed, err := repair.FailServers(in, []int{2, 5})
+	failed, err := repair.Degrade(in, repair.Degradation{FailedServers: []int{2, 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases["FailServers"] = failed
+	cases["Degrade(servers)"] = failed
 	edge := in.Top.Net.Edges()[0]
 	degraded, err := repair.Degrade(failed, repair.Degradation{
 		FailedServers: []int{7},
@@ -68,7 +68,7 @@ func TestCoverageIndexIsInverse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases["Degrade"] = degraded
+	cases["Degrade(compound)"] = degraded
 	for name, c := range cases {
 		if err := coverageIndexErr(c); err != nil {
 			t.Errorf("%s: %v", name, err)

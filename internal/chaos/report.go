@@ -27,15 +27,6 @@ func (cr *CampaignReport) MarkdownTable() string {
 	return b.String()
 }
 
-// JSON renders the campaign report as indented JSON.
-func (cr *CampaignReport) JSON() (string, error) {
-	out, err := json.MarshalIndent(cr, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(out), nil
-}
-
 // MarkdownSummary renders the sweep's aggregate degradation metrics.
 func (sw *SweepReport) MarkdownSummary() string {
 	var b strings.Builder

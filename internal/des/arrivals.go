@@ -5,15 +5,15 @@ import (
 	"idde/internal/units"
 )
 
-// Uniform spreads request arrivals evenly over a window — the temporal
+// uniform spreads request arrivals evenly over a window — the temporal
 // dimension the analytic Eq. 9 abstracts away; Window 0 degenerates to
 // a synchronized burst.
-type Uniform struct {
+type uniform struct {
 	Window units.Seconds
 }
 
 // Times draws n arrival offsets (seconds ≥ 0), unsorted.
-func (u Uniform) Times(n int, s *rng.Stream) []units.Seconds {
+func (u uniform) Times(n int, s *rng.Stream) []units.Seconds {
 	out := make([]units.Seconds, n)
 	if u.Window <= 0 {
 		return out

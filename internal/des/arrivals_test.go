@@ -7,7 +7,7 @@ import (
 )
 
 func TestUniformArrivals(t *testing.T) {
-	u := Uniform{Window: 10}
+	u := uniform{Window: 10}
 	ts := u.Times(1000, rng.New(1))
 	if len(ts) != 1000 {
 		t.Fatalf("n = %d", len(ts))
@@ -18,7 +18,7 @@ func TestUniformArrivals(t *testing.T) {
 		}
 	}
 	// Zero window: synchronized burst.
-	for _, v := range (Uniform{}).Times(10, rng.New(2)) {
+	for _, v := range (uniform{}).Times(10, rng.New(2)) {
 		if v != 0 {
 			t.Fatal("zero-window arrival not at 0")
 		}

@@ -18,19 +18,20 @@ import (
 	"idde/internal/units"
 )
 
-// Sim is an event calendar. The zero value is ready to use.
-type Sim struct {
+// calendar runs scheduled events in virtual-time order. The zero value
+// is ready to use.
+type calendar struct {
 	now units.Seconds
 	pq  eventHeap
 	seq int
 }
 
 // Now reports the current virtual time.
-func (s *Sim) Now() units.Seconds { return s.now }
+func (s *calendar) Now() units.Seconds { return s.now }
 
 // Schedule enqueues fn to run at time at. Scheduling in the past
 // panics — it would silently reorder causality.
-func (s *Sim) Schedule(at units.Seconds, fn func()) {
+func (s *calendar) Schedule(at units.Seconds, fn func()) {
 	if at < s.now {
 		panic(fmt.Sprintf("des: scheduling at %v before now %v", at, s.now))
 	}
@@ -40,7 +41,7 @@ func (s *Sim) Schedule(at units.Seconds, fn func()) {
 
 // Run executes events in time order until the calendar is empty,
 // returning the final virtual time.
-func (s *Sim) Run() units.Seconds {
+func (s *calendar) Run() units.Seconds {
 	for s.pq.Len() > 0 {
 		ev := heap.Pop(&s.pq).(event)
 		s.now = ev.at
@@ -50,7 +51,7 @@ func (s *Sim) Run() units.Seconds {
 }
 
 // Steps reports how many events have been scheduled so far.
-func (s *Sim) Steps() int { return s.seq }
+func (s *calendar) Steps() int { return s.seq }
 
 type event struct {
 	at  units.Seconds
@@ -77,17 +78,17 @@ func (h *eventHeap) Pop() interface{} {
 	return ev
 }
 
-// Resource is a FIFO store-and-forward server (a wired link direction
+// resource is a FIFO store-and-forward server (a wired link direction
 // or a cloud ingress): requests are serviced one at a time in arrival
 // order at a fixed rate.
-type Resource struct {
+type resource struct {
 	Rate      units.Rate
 	busyUntil units.Seconds
 }
 
 // Acquire reserves the resource for moving size bytes starting no
 // earlier than at, returning the completion time.
-func (r *Resource) Acquire(at units.Seconds, size units.MegaBytes) units.Seconds {
+func (r *resource) Acquire(at units.Seconds, size units.MegaBytes) units.Seconds {
 	start := at
 	if r.busyUntil > start {
 		start = r.busyUntil

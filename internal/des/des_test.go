@@ -8,7 +8,7 @@ import (
 )
 
 func TestSimRunsInTimeOrder(t *testing.T) {
-	var sim Sim
+	var sim calendar
 	var got []int
 	sim.Schedule(3, func() { got = append(got, 3) })
 	sim.Schedule(1, func() { got = append(got, 1) })
@@ -25,7 +25,7 @@ func TestSimRunsInTimeOrder(t *testing.T) {
 }
 
 func TestSimFIFOTieBreak(t *testing.T) {
-	var sim Sim
+	var sim calendar
 	var got []int
 	for i := 0; i < 5; i++ {
 		sim.Schedule(1, func() { got = append(got, i) })
@@ -39,7 +39,7 @@ func TestSimFIFOTieBreak(t *testing.T) {
 }
 
 func TestSimNestedScheduling(t *testing.T) {
-	var sim Sim
+	var sim calendar
 	hits := 0
 	sim.Schedule(1, func() {
 		hits++
@@ -51,7 +51,7 @@ func TestSimNestedScheduling(t *testing.T) {
 }
 
 func TestSchedulePastPanics(t *testing.T) {
-	var sim Sim
+	var sim calendar
 	sim.Schedule(5, func() {
 		defer func() {
 			if recover() == nil {
@@ -64,7 +64,7 @@ func TestSchedulePastPanics(t *testing.T) {
 }
 
 func TestResourceFIFO(t *testing.T) {
-	r := Resource{Rate: 100} // 100 MBps
+	r := resource{Rate: 100} // 100 MBps
 	// First transfer: 50MB at t=0 → done at 0.5.
 	if done := r.Acquire(0, 50); done != 0.5 {
 		t.Errorf("first done = %v", done)
@@ -80,7 +80,7 @@ func TestResourceFIFO(t *testing.T) {
 }
 
 func TestResourceZeroRate(t *testing.T) {
-	r := Resource{Rate: 0}
+	r := resource{Rate: 0}
 	if done := r.Acquire(0, 10); !math.IsInf(float64(done), 1) {
 		t.Errorf("zero-rate done = %v", done)
 	}

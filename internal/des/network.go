@@ -16,23 +16,23 @@ import (
 // server additionally owns a cloud-ingress resource at the topology's
 // cloud rate.
 type network struct {
-	links map[[2]int]*Resource
-	cloud []*Resource
+	links map[[2]int]*resource
+	cloud []*resource
 }
 
 // newNetwork builds the contention model for an instance.
 func newNetwork(in *model.Instance) *network {
-	n := &network{links: map[[2]int]*Resource{}, cloud: make([]*Resource, in.N())}
+	n := &network{links: map[[2]int]*resource{}, cloud: make([]*resource, in.N())}
 	for _, e := range in.Top.Net.Edges() {
-		n.links[[2]int{e.U, e.V}] = &Resource{Rate: units.Rate(1 / float64(e.Cost))}
+		n.links[[2]int{e.U, e.V}] = &resource{Rate: units.Rate(1 / float64(e.Cost))}
 	}
 	for i := range n.cloud {
-		n.cloud[i] = &Resource{Rate: in.Top.CloudRate}
+		n.cloud[i] = &resource{Rate: in.Top.CloudRate}
 	}
 	return n
 }
 
-func (n *network) link(u, v int) *Resource {
+func (n *network) link(u, v int) *resource {
 	if u > v {
 		u, v = v, u
 	}
@@ -97,11 +97,11 @@ type SimOptions struct {
 func Simulate(in *model.Instance, st model.Strategy, opt SimOptions, s *rng.Stream) *Report {
 	sc := opt.Obs
 	sc.Begin("des", "run", nil)
-	arrivals := Uniform{Window: opt.Spread}.Times(in.Wl.TotalRequests(), s.Split("arrivals"))
+	arrivals := uniform{Window: opt.Spread}.Times(in.Wl.TotalRequests(), s.Split("arrivals"))
 	f := opt.Faults.normalized()
 	fs := s.Split("faults")
 	net := newNetwork(in)
-	sim := &Sim{}
+	sim := &calendar{}
 	rep := &Report{AnalyticAvg: in.AvgLatencyMode(st.Alloc, st.Delivery, st.Mode)}
 
 	type reqRef struct{ j, k int }
@@ -178,7 +178,7 @@ func publish(sc *obs.Scope, rep *Report) {
 // over to the next-best replica — then the cloud — when a hop exhausts
 // its budget.
 type xfer struct {
-	sim   *Sim
+	sim   *calendar
 	net   *network
 	rep   *Report
 	in    *model.Instance

@@ -34,11 +34,6 @@ type Config struct {
 	Obs *obs.Scope
 }
 
-// DefaultConfig mirrors §4.3 (50 repetitions, all five approaches).
-func DefaultConfig() Config {
-	return Config{Reps: 50, Seed: 2022, Approaches: baseline.All()}
-}
-
 // Metrics aggregates one approach at one x value across repetitions.
 type Metrics struct {
 	// Rate is R_avg in MBps (Figures 3a–6a).

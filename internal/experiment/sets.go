@@ -42,10 +42,6 @@ type Set struct {
 	Base Params
 }
 
-func (s Set) String() string {
-	return fmt.Sprintf("Set #%d (vary %s over %v; base %v)", s.ID, s.Vary, s.Values, s.Base)
-}
-
 // ParamsAt materializes the parameters for one x value.
 func (s Set) ParamsAt(x float64) Params {
 	p := s.Base

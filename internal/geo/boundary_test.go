@@ -99,8 +99,8 @@ func TestGridWithinCellBorders(t *testing.T) {
 	for id, p := range pts {
 		g.Insert(id, p)
 	}
-	if g.Len() != len(pts) {
-		t.Fatalf("grid indexed %d points, want %d", g.Len(), len(pts))
+	if n := gridLen(g); n != len(pts) {
+		t.Fatalf("grid indexed %d points, want %d", n, len(pts))
 	}
 	queries := []struct {
 		q Point

@@ -43,11 +43,6 @@ type Rect struct {
 	MinX, MinY, MaxX, MaxY float64
 }
 
-// Contains reports whether p lies inside r (inclusive bounds).
-func (r Rect) Contains(p Point) bool {
-	return p.X >= r.MinX && p.X <= r.MaxX && p.Y >= r.MinY && p.Y <= r.MaxY
-}
-
 // Width and Height report the rectangle extents.
 func (r Rect) Width() float64  { return r.MaxX - r.MinX }
 func (r Rect) Height() float64 { return r.MaxY - r.MinY }
@@ -108,15 +103,6 @@ func (g *Grid) Insert(id int, p Point) {
 	g.buckets[k] = append(g.buckets[k], entry{id: id, p: p})
 }
 
-// Len reports the number of indexed points.
-func (g *Grid) Len() int {
-	n := 0
-	for _, b := range g.buckets {
-		n += len(b)
-	}
-	return n
-}
-
 // Within returns the ids of all indexed points within radius of q, in
 // unspecified order.
 func (g *Grid) Within(q Point, radius units.Meters) []int {
@@ -135,52 +121,4 @@ func (g *Grid) Within(q Point, radius units.Meters) []int {
 		}
 	}
 	return out
-}
-
-// Nearest returns the id of the indexed point closest to q and its
-// distance. It reports ok=false when the grid is empty. The search
-// expands ring by ring, so it stays fast when points are dense near q.
-func (g *Grid) Nearest(q Point) (id int, d units.Meters, ok bool) {
-	if len(g.buckets) == 0 {
-		return 0, 0, false
-	}
-	best := math.Inf(1)
-	bestID := -1
-	center := g.key(q)
-	for ring := 0; ; ring++ {
-		found := false
-		for cx := center[0] - ring; cx <= center[0]+ring; cx++ {
-			for cy := center[1] - ring; cy <= center[1]+ring; cy++ {
-				if ring > 0 && cx > center[0]-ring && cx < center[0]+ring &&
-					cy > center[1]-ring && cy < center[1]+ring {
-					continue // interior cells were scanned on earlier rings
-				}
-				b, exists := g.buckets[[2]int{cx, cy}]
-				if !exists {
-					continue
-				}
-				found = true
-				for _, e := range b {
-					if d2 := Dist2(q, e.p); d2 < best {
-						best = d2
-						bestID = e.id
-					}
-				}
-			}
-		}
-		// Once a candidate exists, one extra ring guarantees correctness:
-		// any closer point must lie within best distance, which fits in
-		// the scanned rings after expanding once more past the hit ring.
-		if bestID >= 0 && float64(ring)*g.cell >= math.Sqrt(best) {
-			return bestID, units.Meters(math.Sqrt(best)), true
-		}
-		if ring > 1<<20 {
-			// Unreachable for non-empty grids; guards infinite loops.
-			if bestID >= 0 {
-				return bestID, units.Meters(math.Sqrt(best)), true
-			}
-			return 0, 0, false
-		}
-		_ = found
-	}
 }

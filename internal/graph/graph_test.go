@@ -137,6 +137,42 @@ func TestDijkstraUnreachable(t *testing.T) {
 	}
 }
 
+// floydWarshall computes g's all-pairs costs with the classic O(N³)
+// dynamic program: the differential-testing oracle for APSP.
+func floydWarshall(g *Graph) [][]units.SecondsPerMB {
+	inf := units.SecondsPerMB(math.Inf(1))
+	d := make([][]units.SecondsPerMB, g.n)
+	for i := range d {
+		d[i] = make([]units.SecondsPerMB, g.n)
+		for j := range d[i] {
+			if i != j {
+				d[i][j] = inf
+			}
+		}
+	}
+	for u := 0; u < g.n; u++ {
+		for _, e := range g.adj[u] {
+			if e.cost < d[u][e.to] {
+				d[u][e.to] = e.cost
+			}
+		}
+	}
+	for k := 0; k < g.n; k++ {
+		for i := 0; i < g.n; i++ {
+			dik := d[i][k]
+			if math.IsInf(float64(dik), 1) {
+				continue
+			}
+			for j := 0; j < g.n; j++ {
+				if via := dik + d[k][j]; via < d[i][j] {
+					d[i][j] = via
+				}
+			}
+		}
+	}
+	return d
+}
+
 func TestAPSPMatchesFloydWarshall(t *testing.T) {
 	s := rng.New(101)
 	for trial := 0; trial < 20; trial++ {
@@ -144,7 +180,7 @@ func TestAPSPMatchesFloydWarshall(t *testing.T) {
 		edges := n - 1 + s.IntN(2*n)
 		g := RandomConnected(n, edges, 2000, 6000, s.SplitN("g", trial))
 		a := g.APSP()
-		f := g.FloydWarshall()
+		f := floydWarshall(g)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				ai, fi := float64(a[i][j]), float64(f[i][j])

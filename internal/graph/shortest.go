@@ -45,43 +45,6 @@ func (g *Graph) APSP() [][]units.SecondsPerMB {
 	return out
 }
 
-// FloydWarshall computes the same all-pairs costs with the classic
-// O(N³) dynamic program. It is kept as a differential-testing oracle for
-// APSP and for dense graphs.
-func (g *Graph) FloydWarshall() [][]units.SecondsPerMB {
-	inf := units.SecondsPerMB(math.Inf(1))
-	d := make([][]units.SecondsPerMB, g.n)
-	for i := range d {
-		d[i] = make([]units.SecondsPerMB, g.n)
-		for j := range d[i] {
-			if i != j {
-				d[i][j] = inf
-			}
-		}
-	}
-	for u := 0; u < g.n; u++ {
-		for _, e := range g.adj[u] {
-			if e.cost < d[u][e.to] {
-				d[u][e.to] = e.cost
-			}
-		}
-	}
-	for k := 0; k < g.n; k++ {
-		for i := 0; i < g.n; i++ {
-			dik := d[i][k]
-			if math.IsInf(float64(dik), 1) {
-				continue
-			}
-			for j := 0; j < g.n; j++ {
-				if via := dik + d[k][j]; via < d[i][j] {
-					d[i][j] = via
-				}
-			}
-		}
-	}
-	return d
-}
-
 // ShortestPath returns the vertex sequence of a cheapest path from src
 // to dst (inclusive of both endpoints) and its total cost. It reports
 // ok=false when dst is unreachable. Ties break toward lower parent

@@ -178,7 +178,7 @@ func TestUsersStayInRegion(t *testing.T) {
 	region := top.Region
 	solve := func(in *model.Instance) model.Strategy {
 		for _, u := range in.Top.Users {
-			if !region.Contains(u.Pos) {
+			if region.Clamp(u.Pos) != u.Pos {
 				t.Fatalf("user left the region: %v", u.Pos)
 			}
 		}

@@ -117,16 +117,6 @@ func NewSparse(top *topology.Topology, wl *workload.Workload, rm radio.Model, cu
 	return in, nil
 }
 
-// NewDense builds an instance with the dense N×M reference layout.
-func NewDense(top *topology.Topology, wl *workload.Workload, rm radio.Model) (*Instance, error) {
-	if err := validateInstance(top, wl); err != nil {
-		return nil, err
-	}
-	in := &Instance{Top: top, Wl: wl, Radio: rm}
-	in.dense = denseGains(top, rm)
-	return in, nil
-}
-
 func validateInstance(top *topology.Topology, wl *workload.Workload) error {
 	if top == nil || wl == nil {
 		return fmt.Errorf("model: nil topology or workload")
@@ -265,15 +255,6 @@ func denseGains(top *topology.Topology, rm radio.Model) [][]float64 {
 // Sparse reports whether the instance uses the CSR gain layout.
 func (in *Instance) Sparse() bool { return in.dense == nil }
 
-// Cutoff reports the interference cutoff radius of a sparse instance
-// (0 for dense instances).
-func (in *Instance) Cutoff() units.Meters {
-	if in.dense != nil {
-		return 0
-	}
-	return in.cutoff
-}
-
 // NNZ reports the number of stored gain entries: Σ_i |row_i| for the
 // CSR layout, N·M for the dense one.
 func (in *Instance) NNZ() int64 {
@@ -367,14 +348,6 @@ func (r GainRow) At(j int) float64 {
 		return r.vals[lo]
 	}
 	return r.in.Radio.Gain(r.in.Top.Distance(int(r.i), j))
-}
-
-// Len reports the stored-entry count of the row.
-func (r GainRow) Len() int {
-	if r.dense != nil {
-		return len(r.dense)
-	}
-	return len(r.cols)
 }
 
 // LayoutStats describes an instance's gain-storage footprint.

@@ -236,9 +236,6 @@ func (l *Ledger) Alloc() Allocation { return l.alloc.Clone() }
 // Current reports user j's current decision.
 func (l *Ledger) Current(j int) Alloc { return l.alloc[j] }
 
-// Occupancy reports how many users share channel x of server i.
-func (l *Ledger) Occupancy(i, x int) int { return len(l.users[i][x]) }
-
 // Move reassigns user j to decision a (possibly Unallocated),
 // maintaining the channel registries and the built aggregate rows of
 // the receivers that co-cover the old or new server; a ledger with no

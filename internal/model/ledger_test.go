@@ -72,15 +72,15 @@ func TestLedgerMoveBookkeeping(t *testing.T) {
 	a := Alloc{Server: 1, Channel: 0}
 	l.Move(1, a)
 	l.Move(2, a)
-	if l.Occupancy(1, 0) != 2 {
-		t.Errorf("occupancy = %d", l.Occupancy(1, 0))
+	if n := len(l.users[1][0]); n != 2 {
+		t.Errorf("occupancy = %d", n)
 	}
 	l.Move(1, Unallocated)
-	if l.Occupancy(1, 0) != 1 || l.Current(1).Allocated() {
+	if len(l.users[1][0]) != 1 || l.Current(1).Allocated() {
 		t.Error("deallocation bookkeeping wrong")
 	}
 	l.Move(2, a) // no-op move
-	if l.Occupancy(1, 0) != 1 {
+	if len(l.users[1][0]) != 1 {
 		t.Error("no-op move corrupted occupancy")
 	}
 	snap := l.Alloc()

@@ -91,15 +91,3 @@ func (in *Instance) NearestSources(d *Delivery, k int, out []Nearest) {
 		}
 	}
 }
-
-// FailedServers lists the servers marked failed in the topology,
-// ascending. Healthy instances return nil.
-func (in *Instance) FailedServers() []int {
-	var out []int
-	for i, sv := range in.Top.Servers {
-		if sv.Failed {
-			out = append(out, i)
-		}
-	}
-	return out
-}

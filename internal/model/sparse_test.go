@@ -61,9 +61,20 @@ func TestNewSparseRejectsCutoffBelowCoverageRadius(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cutoff = max radius rejected: %v", err)
 	}
-	if !sp.Sparse() || sp.Cutoff() != 500 {
-		t.Fatalf("unexpected layout: sparse=%v cutoff=%v", sp.Sparse(), sp.Cutoff())
+	if !sp.Sparse() || sp.cutoff != 500 {
+		t.Fatalf("unexpected layout: sparse=%v cutoff=%v", sp.Sparse(), sp.cutoff)
 	}
+}
+
+// newDense builds an instance with the dense N×M reference layout
+// directly, without first building the CSR rows Densified starts from.
+func newDense(top *topology.Topology, wl *workload.Workload, rm radio.Model) (*Instance, error) {
+	if err := validateInstance(top, wl); err != nil {
+		return nil, err
+	}
+	in := &Instance{Top: top, Wl: wl, Radio: rm}
+	in.dense = denseGains(top, rm)
+	return in, nil
 }
 
 func TestSparseUncoveredUserStillReadable(t *testing.T) {
@@ -83,10 +94,10 @@ func TestSparseUncoveredUserStillReadable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sp.GainRow(0).Len(); got != 1 {
+	if got := len(sp.GainRow(0).cols); got != 1 {
 		t.Fatalf("row support = %d, want 1 (only the covered user)", got)
 	}
-	dense, err := NewDense(top, wl, radio.Default())
+	dense, err := newDense(top, wl, radio.Default())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -199,16 +199,6 @@ func (f *FlightRecorder) Records() []FlightRecord {
 	return out
 }
 
-// Len reports the number of retained records.
-func (f *FlightRecorder) Len() int {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.ring)
-}
-
 // Sampled reports how many records were ever merged into the recorder;
 // Evicted how many the capacity bound dropped again.
 func (f *FlightRecorder) Sampled() int64 {

@@ -49,7 +49,7 @@ func TestFlightNilSafety(t *testing.T) {
 	}
 	f.Add(FlightRecord{})
 	f.MergeRound()
-	if f.Records() != nil || f.Len() != 0 || f.Sampled() != 0 || f.Evicted() != 0 {
+	if f.Records() != nil || f.Sampled() != 0 || f.Evicted() != 0 {
 		t.Error("nil recorder not inert")
 	}
 	var buf bytes.Buffer
@@ -66,13 +66,13 @@ func TestFlightRingEviction(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			f.Add(FlightRecord{Round: r, Index: i})
 		}
-		if r == 0 && (f.Len() != 0 || f.Sampled() != 0) {
-			t.Fatalf("records reached the ring before the barrier: len=%d sampled=%d", f.Len(), f.Sampled())
+		if r == 0 && (len(f.Records()) != 0 || f.Sampled() != 0) {
+			t.Fatalf("records reached the ring before the barrier: len=%d sampled=%d", len(f.Records()), f.Sampled())
 		}
 		f.MergeRound()
 	}
-	if f.Sampled() != 12 || f.Evicted() != 7 || f.Len() != 5 {
-		t.Fatalf("sampled=%d evicted=%d len=%d, want 12/7/5", f.Sampled(), f.Evicted(), f.Len())
+	if f.Sampled() != 12 || f.Evicted() != 7 || len(f.Records()) != 5 {
+		t.Fatalf("sampled=%d evicted=%d len=%d, want 12/7/5", f.Sampled(), f.Evicted(), len(f.Records()))
 	}
 	got := f.Records()
 	want := []FlightRecord{{Round: 2, Index: 2}, {Round: 3, Index: 0}, {Round: 3, Index: 1}, {Round: 3, Index: 2}}
@@ -224,9 +224,9 @@ func FuzzFlightJSONLRoundTrip(f *testing.F) {
 			wantCap = 256
 		}
 		wantLen := min(added, wantCap)
-		if fr.Sampled() != int64(added) || fr.Evicted() != int64(added-wantLen) || fr.Len() != wantLen || len(want) != wantLen {
+		if fr.Sampled() != int64(added) || fr.Evicted() != int64(added-wantLen) || len(fr.Records()) != wantLen || len(want) != wantLen {
 			t.Fatalf("added %d at capacity %d: sampled=%d evicted=%d len=%d records=%d",
-				added, wantCap, fr.Sampled(), fr.Evicted(), fr.Len(), len(want))
+				added, wantCap, fr.Sampled(), fr.Evicted(), len(fr.Records()), len(want))
 		}
 
 		finite := !math.IsNaN(nowS) && !math.IsInf(nowS, 0)

@@ -2,9 +2,8 @@ package obs
 
 import (
 	"math"
+	"sort"
 	"testing"
-
-	"idde/internal/stats"
 )
 
 // withinBucketBound asserts the log2-bucket error contract: estimate and
@@ -30,9 +29,78 @@ func withinBucketBound(t *testing.T, name string, got, want float64) {
 	}
 }
 
+// percentile is the exact reference the histogram quantiles are checked
+// against: the p-th percentile (0 <= p <= 100) by linear interpolation
+// between order statistics. It panics on an empty slice or a p outside
+// [0,100].
+func percentile(xs []float64, p float64) float64 {
+	if len(xs) == 0 {
+		panic("percentile of empty slice")
+	}
+	if p < 0 || p > 100 {
+		panic("percentile out of range")
+	}
+	ys := append([]float64(nil), xs...)
+	sort.Float64s(ys)
+	if len(ys) == 1 {
+		return ys[0]
+	}
+	pos := p / 100 * float64(len(ys)-1)
+	lo := int(math.Floor(pos))
+	hi := int(math.Ceil(pos))
+	if lo == hi {
+		return ys[lo]
+	}
+	frac := pos - float64(lo)
+	return ys[lo]*(1-frac) + ys[hi]*frac
+}
+
+func TestPercentile(t *testing.T) {
+	xs := []float64{15, 20, 35, 40, 50}
+	if p := percentile(xs, 0); p != 15 {
+		t.Errorf("p0 = %v", p)
+	}
+	if p := percentile(xs, 100); p != 50 {
+		t.Errorf("p100 = %v", p)
+	}
+	if p := percentile(xs, 50); p != 35 {
+		t.Errorf("p50 = %v", p)
+	}
+	if p := percentile(xs, 25); p != 20 {
+		t.Errorf("p25 = %v", p)
+	}
+	// Input must not be mutated.
+	if xs[0] != 15 || xs[4] != 50 {
+		t.Error("percentile mutated input")
+	}
+	if p := percentile([]float64{7}, 60); p != 7 {
+		t.Errorf("singleton percentile = %v", p)
+	}
+}
+
+func TestPercentilePanics(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"empty", func() { percentile(nil, 50) }},
+		{"below", func() { percentile([]float64{1}, -1) }},
+		{"above", func() { percentile([]float64{1}, 101) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", tc.name)
+				}
+			}()
+			tc.fn()
+		}()
+	}
+}
+
 // TestQuantileAgainstPercentile pins p50/p99/p999 against the exact
-// internal/stats.Percentile on known distributions, checking the
-// documented log2-bucket error bound.
+// percentile on known distributions, checking the documented log2-bucket
+// error bound.
 func TestQuantileAgainstPercentile(t *testing.T) {
 	dists := map[string]func(i int) float64{
 		// Uniform ramp over [0, 1000).
@@ -68,7 +136,7 @@ func TestQuantileAgainstPercentile(t *testing.T) {
 		}
 		for _, p := range []float64{0.50, 0.99, 0.999} {
 			got := h.Quantile(p)
-			want := stats.Percentile(xs, p*100)
+			want := percentile(xs, p*100)
 			withinBucketBound(t, name, got, want)
 		}
 	}

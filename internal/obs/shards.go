@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"io"
 	"sort"
 )
 
@@ -32,9 +31,6 @@ func NewTracerShards(n int) *TracerShards {
 	}
 	return ts
 }
-
-// Len reports the shard count.
-func (ts *TracerShards) Len() int { return len(ts.shards) }
 
 // Shard returns shard i's tracer. Each worker must emit into its own
 // shard only; the shard tracer itself is an ordinary Tracer.
@@ -70,18 +66,6 @@ func (ts *TracerShards) Merged() []Event {
 		out[i].Tick = int64(i)
 	}
 	return out
-}
-
-// WriteJSONL writes the merged events as JSONL, one object per line —
-// the same serialization a single Tracer produces, so a one-shard merge
-// is byte-identical to Tracer.WriteJSONL.
-func (ts *TracerShards) WriteJSONL(w io.Writer) error {
-	for _, ev := range ts.Merged() {
-		if err := writeJSONLine(w, ev); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // MergeInto re-emits the merged events into dst, which assigns them

@@ -111,7 +111,7 @@ func TestTracerShardsConcurrentJSONLByteIdentity(t *testing.T) {
 		}
 		wg.Wait()
 		var buf bytes.Buffer
-		if err := ts.WriteJSONL(&buf); err != nil {
+		if err := writeMerged(&buf, ts); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

@@ -71,9 +71,6 @@ func NewSystem(in *model.Instance) *System {
 	}
 }
 
-// Active reports whether user j is present.
-func (s *System) Active(j int) bool { return s.active[j] }
-
 // ActiveCount reports the number of present users.
 func (s *System) ActiveCount() int {
 	n := 0
@@ -87,13 +84,6 @@ func (s *System) ActiveCount() int {
 
 // Stats returns the accumulated event accounting.
 func (s *System) Stats() Stats { return s.stats }
-
-// Allocation snapshots the current profile (inactive users are
-// Unallocated).
-func (s *System) Allocation() model.Allocation { return s.ledger.Alloc() }
-
-// Delivery snapshots the current delivery profile.
-func (s *System) Delivery() *model.Delivery { return s.deliv.Clone() }
 
 // Join activates user j, allocates it and re-equilibrates its
 // neighbourhood. It returns the number of allocation moves committed.

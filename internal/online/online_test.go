@@ -42,10 +42,10 @@ func TestJoinLeaveBasics(t *testing.T) {
 	if moves < 1 {
 		t.Error("join committed no moves")
 	}
-	if !sys.Active(5) || sys.ActiveCount() != 1 {
+	if !sys.active[5] || sys.ActiveCount() != 1 {
 		t.Error("activation bookkeeping wrong")
 	}
-	if !sys.Allocation()[5].Allocated() {
+	if !sys.ledger.Alloc()[5].Allocated() {
 		t.Error("joined user not allocated")
 	}
 	if _, err := sys.Join(5); err == nil {
@@ -54,7 +54,7 @@ func TestJoinLeaveBasics(t *testing.T) {
 	if _, err := sys.Leave(5); err != nil {
 		t.Fatal(err)
 	}
-	if sys.Active(5) || sys.Allocation()[5].Allocated() {
+	if sys.active[5] || sys.ledger.Alloc()[5].Allocated() {
 		t.Error("leave bookkeeping wrong")
 	}
 	if _, err := sys.Leave(5); err == nil {
@@ -156,11 +156,11 @@ func TestDeliveryPatchingServesJoiners(t *testing.T) {
 	if sys.Stats().Placements == 0 {
 		t.Error("no on-demand placements happened")
 	}
-	if err := in.CheckDelivery(sys.Delivery()); err != nil {
+	if err := in.CheckDelivery(sys.deliv); err != nil {
 		t.Errorf("patched delivery invalid: %v", err)
 	}
 	// The allocation must remain valid throughout.
-	if err := in.CheckAllocation(sys.Allocation()); err != nil {
+	if err := in.CheckAllocation(sys.ledger.Alloc()); err != nil {
 		t.Errorf("allocation invalid: %v", err)
 	}
 }

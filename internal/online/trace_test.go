@@ -104,10 +104,10 @@ func TestReplayTrace(t *testing.T) {
 	if final.Active > 0 && final.RateMBps <= 0 {
 		t.Error("active system with zero rate")
 	}
-	if err := in.CheckAllocation(sys.Allocation()); err != nil {
+	if err := in.CheckAllocation(sys.ledger.Alloc()); err != nil {
 		t.Errorf("post-replay allocation invalid: %v", err)
 	}
-	if err := in.CheckDelivery(sys.Delivery()); err != nil {
+	if err := in.CheckDelivery(sys.deliv); err != nil {
 		t.Errorf("post-replay delivery invalid: %v", err)
 	}
 }

@@ -115,11 +115,12 @@ func TestRepairPhaseBMatchesReference(t *testing.T) {
 				t.Fatalf("seed %d %s: lost/replaced %d/%d, reference %d/%d",
 					seed, label, rep.LostReplicas, rep.ReplacedReplicas, wantLost, wantReplaced)
 			}
+			gotRate, gotLat := deg.Evaluate(got)
 			rate, lat := deg.Evaluate(model.Strategy{Alloc: got.Alloc, Delivery: d, Mode: cur.Mode})
-			if math.Float64bits(float64(rep.RateAfter)) != math.Float64bits(float64(rate)) ||
-				math.Float64bits(float64(rep.LatencyAfter)) != math.Float64bits(float64(lat)) {
+			if math.Float64bits(float64(gotRate)) != math.Float64bits(float64(rate)) ||
+				math.Float64bits(float64(gotLat)) != math.Float64bits(float64(lat)) {
 				t.Fatalf("seed %d %s: after rate/latency %v/%v, reference %v/%v",
-					seed, label, rep.RateAfter, rep.LatencyAfter, rate, lat)
+					seed, label, gotRate, gotLat, rate, lat)
 			}
 			repairs++
 			replaced += rep.ReplacedReplicas
@@ -135,16 +136,9 @@ func TestRepairPhaseBMatchesReference(t *testing.T) {
 			return deg
 		}
 
-		one, err := FailServer(in, busiestServer(in, st))
-		if err != nil {
-			t.Fatal(err)
-		}
-		check("busiest server", in, one, st)
+		check("busiest server", in, degrade(Degradation{FailedServers: []int{busiestServer(in, st)}}), st)
 		check("random server", in, degrade(Degradation{FailedServers: perm[:1]}), st)
-		three, err := FailServers(in, perm[:3])
-		if err != nil {
-			t.Fatal(err)
-		}
+		three := degrade(Degradation{FailedServers: perm[:3]})
 		outage := check("correlated outage", in, three, st)
 		check("partial recovery", three, degrade(Degradation{FailedServers: perm[:1]}), outage)
 		check("cut links", in, degrade(Degradation{CutLinks: cuts}), st)

@@ -23,29 +23,16 @@ import (
 	"idde/internal/units"
 )
 
-// Report accounts for a failure and its repair.
+// Report accounts for the work a repair did.
 type Report struct {
-	// FailedServer is the single injected failure, or -1 when the
-	// repair covered a compound degradation (see FailedCount).
-	FailedServer int
-	// FailedCount is the number of servers down in the degraded
-	// instance that were up in the reference instance.
-	FailedCount int
-	// DisplacedUsers were attached to the failed server.
-	DisplacedUsers int
-	// StrandedUsers ended up outside all surviving coverage (they fall
-	// back to the cloud entirely).
-	StrandedUsers int
-	// LostReplicas were stored on the failed server.
+	// LostReplicas were stored on servers that are down in the
+	// degraded instance.
 	LostReplicas int
 	// ReplacedReplicas were re-placed during repair (not necessarily
 	// the same items on the same servers).
 	ReplacedReplicas int
 	// Moves counts allocation changes (displaced users + ripples).
 	Moves int
-	// Before/After metrics under the healthy and repaired systems.
-	RateBefore, RateAfter       units.Rate
-	LatencyBefore, LatencyAfter units.Seconds
 }
 
 // Degradation is a set of concurrently active faults to apply on top of
@@ -137,57 +124,11 @@ func Degrade(in *model.Instance, d Degradation) (*model.Instance, error) {
 	return model.New(top, &wl, in.Radio)
 }
 
-// FailServer builds the degraded instance: server f covers nobody,
-// stores nothing and forwards nothing. The wired network may partition
-// — even down to the last surviving server — and unreachable pairs fall
-// back to the cloud per Eq. 8. Failing an already-failed server errors,
-// so callers notice double injection.
-func FailServer(in *model.Instance, f int) (*model.Instance, error) {
-	if f < 0 || f >= in.N() {
-		return nil, fmt.Errorf("repair: unknown server %d", f)
-	}
-	if in.Top.Servers[f].Failed {
-		return nil, fmt.Errorf("repair: server %d already failed", f)
-	}
-	return Degrade(in, Degradation{FailedServers: []int{f}})
-}
-
-// FailServers fails a set of servers at once (a correlated outage).
-// Duplicate and already-failed ids error, as in FailServer.
-func FailServers(in *model.Instance, fs []int) (*model.Instance, error) {
-	seen := make(map[int]bool, len(fs))
-	for _, f := range fs {
-		if f < 0 || f >= in.N() {
-			return nil, fmt.Errorf("repair: unknown server %d", f)
-		}
-		if in.Top.Servers[f].Failed {
-			return nil, fmt.Errorf("repair: server %d already failed", f)
-		}
-		if seen[f] {
-			return nil, fmt.Errorf("repair: server %d listed twice", f)
-		}
-		seen[f] = true
-	}
-	return Degrade(in, Degradation{FailedServers: fs})
-}
-
 // Options bounds the repair work.
 type Options struct {
 	// Waves of neighbourhood re-equilibration after displacement
 	// (default 2).
 	Waves int
-}
-
-// Repair patches a strategy formulated on the healthy instance so it is
-// valid and effective on the degraded one, where server f died. It
-// returns the repaired strategy and the accounting report.
-func Repair(healthy, degraded *model.Instance, st model.Strategy, f int, opt Options) (model.Strategy, *Report, error) {
-	repaired, rep, err := RepairDegraded(healthy, degraded, st, opt)
-	if err != nil {
-		return model.Strategy{}, nil, err
-	}
-	rep.FailedServer = f
-	return repaired, rep, nil
 }
 
 // RepairDegraded patches a strategy that was valid on the reference
@@ -202,7 +143,8 @@ func Repair(healthy, degraded *model.Instance, st model.Strategy, f int, opt Opt
 // same way; replicas on dead servers are dropped and re-placed by the
 // Eq. 17 greedy within the surviving reservations. The repair is
 // deterministic and idempotent: with no new failure it makes zero
-// moves and places zero replicas.
+// moves and places zero replicas. It does not evaluate Eq. 5 or Eq. 9;
+// a caller that reports them evaluates the returned strategy.
 func RepairDegraded(ref, degraded *model.Instance, st model.Strategy, opt Options) (model.Strategy, *Report, error) {
 	if opt.Waves <= 0 {
 		opt.Waves = 2
@@ -210,29 +152,20 @@ func RepairDegraded(ref, degraded *model.Instance, st model.Strategy, opt Option
 	if degraded.N() != ref.N() || degraded.M() != ref.M() || degraded.K() != ref.K() {
 		return model.Strategy{}, nil, fmt.Errorf("repair: instance dimensions differ")
 	}
-	rep := &Report{FailedServer: -1}
-	for i := 0; i < degraded.N(); i++ {
-		if degraded.Top.Servers[i].Failed && !ref.Top.Servers[i].Failed {
-			rep.FailedCount++
-		}
-	}
-	rep.RateBefore, rep.LatencyBefore = ref.Evaluate(st)
-
+	rep := &Report{}
 	down := func(i int) bool { return degraded.Top.Servers[i].Failed }
 
 	// Phase A: displace users of dead servers, re-admit users that
-	// regained coverage, and re-equilibrate.
+	// regained coverage, and re-equilibrate. A displaced user that is
+	// still covered is listed twice, so it gets two best-response turns.
 	alloc := st.Alloc.Clone()
-	var displaced []int
+	var wavefront []int
 	for j, a := range alloc {
 		if a.Allocated() && (down(a.Server) || !degraded.Top.Covers(a.Server, j)) {
-			displaced = append(displaced, j)
+			wavefront = append(wavefront, j)
 			alloc[j] = model.Unallocated
 		}
 	}
-	rep.DisplacedUsers = len(displaced)
-	var wavefront []int
-	wavefront = append(wavefront, displaced...)
 	for j, a := range alloc {
 		if !a.Allocated() && len(degraded.Top.Coverage[j]) > 0 {
 			wavefront = append(wavefront, j)
@@ -243,11 +176,6 @@ func RepairDegraded(ref, degraded *model.Instance, st model.Strategy, opt Option
 	for _, j := range wavefront {
 		if bestRespond(degraded, ledger, j) {
 			rep.Moves++
-		}
-	}
-	for _, j := range displaced {
-		if len(degraded.Top.Coverage[j]) == 0 {
-			rep.StrandedUsers++
 		}
 	}
 	// Ripple waves: neighbours of the wavefront may improve.
@@ -297,7 +225,6 @@ func RepairDegraded(ref, degraded *model.Instance, st model.Strategy, opt Option
 	if err := degraded.Check(repaired); err != nil {
 		return model.Strategy{}, nil, fmt.Errorf("repair: produced invalid strategy: %w", err)
 	}
-	rep.RateAfter, rep.LatencyAfter = degraded.Evaluate(repaired)
 	return repaired, rep, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"idde/internal/core"
+	"idde/internal/des"
 	"idde/internal/graph"
 	"idde/internal/model"
 	"idde/internal/radio"
@@ -32,6 +33,39 @@ func genInstance(t *testing.T, n, m, k int, seed uint64) *model.Instance {
 	return in
 }
 
+// failServers degrades in by taking the listed servers down.
+func failServers(t *testing.T, in *model.Instance, fs ...int) *model.Instance {
+	t.Helper()
+	deg, err := Degrade(in, Degradation{FailedServers: fs})
+	if err != nil {
+		t.Fatalf("degrade %v: %v", fs, err)
+	}
+	return deg
+}
+
+// displacedUsers lists the users st allocates to a server that is down
+// in deg or no longer covers them; strandedUsers counts those of them
+// left with no surviving coverage at all.
+func displacedUsers(deg *model.Instance, st model.Strategy) []int {
+	var out []int
+	for j, a := range st.Alloc {
+		if a.Allocated() && (deg.Top.Servers[a.Server].Failed || !deg.Top.Covers(a.Server, j)) {
+			out = append(out, j)
+		}
+	}
+	return out
+}
+
+func strandedUsers(deg *model.Instance, st model.Strategy) int {
+	n := 0
+	for _, j := range displacedUsers(deg, st) {
+		if len(deg.Top.Coverage[j]) == 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // busiestServer finds the server with the most allocated users.
 func busiestServer(in *model.Instance, st model.Strategy) int {
 	counts := make([]int, in.N())
@@ -51,10 +85,7 @@ func busiestServer(in *model.Instance, st model.Strategy) int {
 
 func TestFailServerDegradesInstance(t *testing.T) {
 	in := genInstance(t, 12, 80, 4, 1)
-	deg, err := FailServer(in, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	deg := failServers(t, in, 3)
 	if !deg.Top.Servers[3].Failed {
 		t.Error("server not marked failed")
 	}
@@ -73,24 +104,28 @@ func TestFailServerDegradesInstance(t *testing.T) {
 	}
 	// Original instance untouched.
 	if in.Top.Servers[3].Failed || in.Wl.Capacity[3] == 0 {
-		t.Error("FailServer mutated the healthy instance")
+		t.Error("Degrade mutated the healthy instance")
 	}
 }
 
 func TestFailServerValidation(t *testing.T) {
 	in := genInstance(t, 10, 40, 3, 2)
-	if _, err := FailServer(in, -1); err == nil {
-		t.Error("negative id accepted")
+	for _, f := range []int{-1, 10, 99} {
+		if _, err := Degrade(in, Degradation{FailedServers: []int{f}}); err == nil {
+			t.Errorf("unknown server %d accepted", f)
+		}
 	}
-	if _, err := FailServer(in, 99); err == nil {
-		t.Error("out-of-range id accepted")
+	// Failing an already-failed server again is tolerated and changes
+	// nothing, so cumulative fault sets can be replayed.
+	deg := failServers(t, in, 0)
+	again := failServers(t, deg, 0)
+	for i := 0; i < in.N(); i++ {
+		if again.Top.Servers[i].Failed != (i == 0) || again.Wl.Capacity[i] != deg.Wl.Capacity[i] {
+			t.Fatalf("re-failing server 0 changed server %d", i)
+		}
 	}
-	deg, err := FailServer(in, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := FailServer(deg, 0); err == nil {
-		t.Error("double failure accepted")
+	if again.Top.Net.M() != deg.Top.Net.M() {
+		t.Errorf("re-failing server 0 changed the wired links: %d vs %d", again.Top.Net.M(), deg.Top.Net.M())
 	}
 }
 
@@ -98,15 +133,15 @@ func TestRepairProducesValidEffectiveStrategy(t *testing.T) {
 	in := genInstance(t, 15, 120, 4, 3)
 	st := core.Solve(in, core.DefaultOptions()).Strategy
 	f := busiestServer(in, st)
-	deg, err := FailServer(in, f)
+	deg := failServers(t, in, f)
+	repaired, _, err := RepairDegraded(in, deg, st, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	repaired, rep, err := Repair(in, deg, st, f, Options{})
-	if err != nil {
-		t.Fatal(err)
+	if err := deg.Check(repaired); err != nil {
+		t.Fatalf("repaired strategy invalid: %v", err)
 	}
-	if rep.DisplacedUsers == 0 {
+	if len(displacedUsers(deg, st)) == 0 {
 		t.Error("busiest server had no users?")
 	}
 	// No user remains on the failed server.
@@ -116,24 +151,59 @@ func TestRepairProducesValidEffectiveStrategy(t *testing.T) {
 		}
 	}
 	// Displaced but coverable users were re-homed.
-	rehomed := 0
-	for _, a := range repaired.Alloc {
-		if a.Allocated() {
-			rehomed++
-		}
-	}
-	if rehomed+rep.StrandedUsers < st.Alloc.AllocatedCount() {
+	rehomed := repaired.Alloc.AllocatedCount()
+	stranded := strandedUsers(deg, st)
+	if rehomed+stranded < st.Alloc.AllocatedCount() {
 		t.Errorf("users went missing: %d rehomed + %d stranded < %d before",
-			rehomed, rep.StrandedUsers, st.Alloc.AllocatedCount())
+			rehomed, stranded, st.Alloc.AllocatedCount())
 	}
 	// The degraded system is worse than healthy, but far better than
-	// unrepaired: compare with the naive strategy (displaced users
-	// dropped, lost replicas not replaced).
-	if float64(rep.RateAfter) > float64(rep.RateBefore)*1.2 {
-		t.Errorf("rate improved after failure?! %v -> %v", rep.RateBefore, rep.RateAfter)
+	// unrepaired (TestRepairBeatsNaiveDegradation).
+	rateBefore, _ := in.Evaluate(st)
+	rateAfter, latAfter := deg.Evaluate(repaired)
+	if float64(rateAfter) > float64(rateBefore)*1.2 {
+		t.Errorf("rate improved after failure?! %v -> %v", rateBefore, rateAfter)
 	}
-	if rep.LatencyAfter < 0 {
-		t.Error("negative latency")
+	if rateAfter <= 0 || latAfter < 0 {
+		t.Errorf("repaired system degenerate: rate %v, latency %v", rateAfter, latAfter)
+	}
+	// A from-scratch re-solve on the degraded system does at least
+	// roughly as well as the incremental repair.
+	fresh, _ := deg.Evaluate(core.Solve(deg, core.DefaultOptions()).Strategy)
+	if float64(fresh) < 0.9*float64(rateAfter) {
+		t.Errorf("fresh solve rate %v far below repair %v", fresh, rateAfter)
+	}
+}
+
+// TestRepairCompoundFailure takes three servers down at once, then a
+// fourth on top: a compound failure never raises the average rate, and
+// each repaired strategy passes Check on its degraded instance.
+func TestRepairCompoundFailure(t *testing.T) {
+	in := genInstance(t, 15, 100, 4, 33)
+	st := core.Solve(in, core.DefaultOptions()).Strategy
+	deg := failServers(t, in, 2, 5, 9)
+	repaired, _, err := RepairDegraded(in, deg, st, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := deg.Check(repaired); err != nil {
+		t.Fatalf("repaired strategy invalid: %v", err)
+	}
+	before, _ := in.Evaluate(st)
+	after, _ := deg.Evaluate(repaired)
+	if after > before+1e-9 {
+		t.Errorf("rate rose after a triple failure: %v -> %v", before, after)
+	}
+	deg2 := failServers(t, deg, 0)
+	repaired2, _, err := RepairDegraded(deg, deg2, repaired, Options{})
+	if err != nil {
+		t.Fatalf("repair after the compound failure: %v", err)
+	}
+	if err := deg2.Check(repaired2); err != nil {
+		t.Fatalf("strategy repaired after the fourth failure invalid: %v", err)
+	}
+	if after2, _ := deg2.Evaluate(repaired2); after2 > after+1e-9 {
+		t.Errorf("rate rose after a fourth failure: %v -> %v", after, after2)
 	}
 }
 
@@ -141,11 +211,8 @@ func TestRepairBeatsNaiveDegradation(t *testing.T) {
 	in := genInstance(t, 15, 120, 4, 5)
 	st := core.Solve(in, core.DefaultOptions()).Strategy
 	f := busiestServer(in, st)
-	deg, err := FailServer(in, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	repaired, rep, err := Repair(in, deg, st, f, Options{})
+	deg := failServers(t, in, f)
+	repaired, _, err := RepairDegraded(in, deg, st, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +243,6 @@ func TestRepairBeatsNaiveDegradation(t *testing.T) {
 	if float64(repLat) > float64(naiveLat)+1e-9 {
 		t.Errorf("repair latency %v above naive %v", repLat, naiveLat)
 	}
-	_ = rep
 	// Repair must strictly help on at least one axis (it re-homes
 	// users who otherwise idle at zero rate).
 	if math.Abs(float64(repRate-naiveRate)) < 1e-12 && math.Abs(float64(repLat-naiveLat)) < 1e-12 {
@@ -191,11 +257,8 @@ func TestRepairOnPartitionedNetwork(t *testing.T) {
 	in := genInstance(t, 12, 60, 3, 7)
 	st := core.Solve(in, core.DefaultOptions()).Strategy
 	for f := 0; f < in.N(); f++ {
-		deg, err := FailServer(in, f)
-		if err != nil {
-			t.Fatalf("fail %d: %v", f, err)
-		}
-		repaired, _, err := Repair(in, deg, st, f, Options{})
+		deg := failServers(t, in, f)
+		repaired, _, err := RepairDegraded(in, deg, st, Options{})
 		if err != nil {
 			t.Fatalf("repair %d: %v", f, err)
 		}
@@ -213,16 +276,18 @@ func TestFailLastSurvivingServer(t *testing.T) {
 	st := core.Solve(in, core.DefaultOptions()).Strategy
 	cur, curSt := in, st
 	for f := 0; f < in.N(); f++ {
-		deg, err := FailServer(cur, f)
-		if err != nil {
-			t.Fatalf("fail %d: %v", f, err)
-		}
+		deg := failServers(t, cur, f)
 		repaired, _, err := RepairDegraded(cur, deg, curSt, Options{})
 		if err != nil {
 			t.Fatalf("repair after failing %d: %v", f, err)
 		}
 		if err := deg.Check(repaired); err != nil {
 			t.Fatalf("repaired strategy invalid after failing %d: %v", f, err)
+		}
+		// Every intermediate system still runs on the simulator.
+		sim := des.Simulate(deg, repaired, des.SimOptions{Spread: 5}, rng.New(uint64(f)))
+		if sim.Events == 0 || math.IsNaN(float64(sim.Avg)) || math.IsInf(float64(sim.Avg), 0) {
+			t.Fatalf("simulation after failing %d degenerate: %d events, avg %v", f, sim.Events, sim.Avg)
 		}
 		cur, curSt = deg, repaired
 	}
@@ -278,14 +343,11 @@ func TestFailCutVertexPartitionsGracefully(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := core.Solve(lin, core.DefaultOptions()).Strategy
-	deg, err := FailServer(lin, 3)
-	if err != nil {
-		t.Fatalf("failing a cut vertex errored: %v", err)
-	}
+	deg := failServers(t, lin, 3)
 	if !math.IsInf(float64(deg.Top.PathCost[0][7]), 1) {
 		t.Error("expected servers 0 and 7 to be disconnected")
 	}
-	repaired, _, err := Repair(lin, deg, st, 3, Options{})
+	repaired, _, err := RepairDegraded(lin, deg, st, Options{})
 	if err != nil {
 		t.Fatalf("repair across a partition errored: %v", err)
 	}
@@ -338,18 +400,21 @@ func TestDegradeCompound(t *testing.T) {
 
 func TestFailServersValidation(t *testing.T) {
 	in := genInstance(t, 6, 30, 3, 17)
-	if _, err := FailServers(in, []int{0, 0}); err == nil {
-		t.Error("duplicate id accepted")
-	}
-	if _, err := FailServers(in, []int{0, 9}); err == nil {
+	if _, err := Degrade(in, Degradation{FailedServers: []int{0, 9}}); err == nil {
 		t.Error("out-of-range id accepted")
 	}
-	deg, err := FailServers(in, []int{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := FailServers(deg, []int{1}); err == nil {
-		t.Error("already-failed id accepted")
+	// A duplicate id fails that server once; replaying an already-failed
+	// id on the degraded instance is a no-op.
+	pair := failServers(t, in, 0, 1)
+	for _, deg := range []*model.Instance{failServers(t, in, 0, 1, 1), failServers(t, pair, 1)} {
+		for i := 0; i < in.N(); i++ {
+			if deg.Top.Servers[i].Failed != pair.Top.Servers[i].Failed {
+				t.Fatalf("server %d failed=%v, want %v", i, deg.Top.Servers[i].Failed, pair.Top.Servers[i].Failed)
+			}
+		}
+		if deg.Top.Net.M() != pair.Top.Net.M() {
+			t.Errorf("%d wired links, want %d", deg.Top.Net.M(), pair.Top.Net.M())
+		}
 	}
 }
 
@@ -361,10 +426,7 @@ func TestRepairDeterministicAndIdempotent(t *testing.T) {
 		in := genInstance(t, 12, 80, 4, seed)
 		st := core.Solve(in, core.DefaultOptions()).Strategy
 		f := busiestServer(in, st)
-		deg, err := FailServer(in, f)
-		if err != nil {
-			t.Fatal(err)
-		}
+		deg := failServers(t, in, f)
 		r1, rep1, err := RepairDegraded(in, deg, st, Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -386,7 +448,7 @@ func TestRepairDeterministicAndIdempotent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep3.Moves != 0 || rep3.ReplacedReplicas != 0 || rep3.LostReplicas != 0 || rep3.DisplacedUsers != 0 {
+		if rep3.Moves != 0 || rep3.ReplacedReplicas != 0 || rep3.LostReplicas != 0 {
 			t.Fatalf("seed %d: re-repair did work: %+v", seed, rep3)
 		}
 		for j := range r1.Alloc {
@@ -407,15 +469,12 @@ func TestRepairDeterministicAndIdempotent(t *testing.T) {
 func TestRepairDeterministic(t *testing.T) {
 	in := genInstance(t, 12, 80, 3, 9)
 	st := core.Solve(in, core.DefaultOptions()).Strategy
-	deg, err := FailServer(in, 2)
+	deg := failServers(t, in, 2)
+	_, a, err := RepairDegraded(in, deg, st, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, a, err := Repair(in, deg, st, 2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, b, err := Repair(in, deg, st, 2, Options{})
+	_, b, err := RepairDegraded(in, deg, st, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

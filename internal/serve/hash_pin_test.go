@@ -12,12 +12,16 @@ import (
 	"idde/internal/obs"
 )
 
-// TestOutcomeHashPinned pins the absolute OutcomeHash of two small soaks
-// with hedging off: one healthy, one through the outage drill. The hash
-// folds every request's served source, latency bits, retries, failovers
-// and flags, so any drift in the rng streams (the per-request lazy
-// source, Split/SplitN derivation) or in Eq. 8 routing (the plan's
-// nearest-replica table) fails here. The literals are reference
+// TestOutcomeHashPinned pins the absolute OutcomeHash and the retry,
+// failover and cloud-fallback totals of three small soaks with hedging
+// off: one healthy, one through the outage drill, and one with every
+// source alive but half of all hop attempts lost, which pins the
+// per-visit retry bound (a budget of 3, or a loop that stops one
+// attempt early, moves its counters). The hash folds every request's
+// served source, latency bits, retries, failovers and flags, so any
+// drift in the rng streams (the per-request lazy source, Split/SplitN
+// derivation) or in Eq. 8 routing (the plan's nearest-replica table)
+// fails here. The literals are reference
 // outcomes, matching the literal Eq. 8 scan and math/rand's own seeding:
 // a change that moves them changes what the data plane serves, so they
 // are not to be regenerated to make a change pass.
@@ -34,13 +38,21 @@ func TestOutcomeHashPinned(t *testing.T) {
 	// continuation.
 	outage.RPS = 400
 
+	// Half of all hop attempts lost, every source alive: visits exhaust
+	// the default per-visit budget (2 retries after the first attempt)
+	// often enough that one retry more or less moves every counter.
+	lossy := testOptions(3)
+	lossy.Faults.LossProb = 0.5
+
 	for _, tc := range []struct {
-		name string
-		opt  Options
-		want string
+		name                          string
+		opt                           Options
+		want                          string
+		retries, failovers, fallbacks int64
 	}{
-		{"healthy", healthy, "5157ada8a071ac9a"},
-		{"outage", outage, "f0bb76bf91bebf04"},
+		{"healthy", healthy, "5157ada8a071ac9a", 24, 0, 0},
+		{"outage", outage, "f0bb76bf91bebf04", 65, 247, 24},
+		{"lossy", lossy, "59f3b6dbbe9abac2", 791, 109, 1},
 	} {
 		rep, err := Run(context.Background(), in, st, tc.opt)
 		if err != nil {
@@ -49,6 +61,10 @@ func TestOutcomeHashPinned(t *testing.T) {
 		if rep.OutcomeHash != tc.want {
 			t.Errorf("%s soak: OutcomeHash = %s, want %s (issued %d, degraded %d, retries %d, replans %d)",
 				tc.name, rep.OutcomeHash, tc.want, rep.Issued, rep.Degraded, rep.Retries, rep.Replans)
+		}
+		if rep.Retries != tc.retries || rep.Failovers != tc.failovers || rep.CloudFallbacks != tc.fallbacks {
+			t.Errorf("%s soak: retries/failovers/cloud fallbacks = %d/%d/%d, want %d/%d/%d",
+				tc.name, rep.Retries, rep.Failovers, rep.CloudFallbacks, tc.retries, tc.failovers, tc.fallbacks)
 		}
 	}
 }

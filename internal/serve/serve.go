@@ -304,9 +304,6 @@ func NewEngine(healthy *model.Instance, st model.Strategy, opt Options) (*Engine
 	return e, nil
 }
 
-// Plan returns the current routing plan generation.
-func (e *Engine) Plan() *Plan { return e.plan.load() }
-
 // Now reports the engine's virtual clock.
 func (e *Engine) Now() units.Seconds {
 	e.mu.Lock()

@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Acc accumulates scalar observations with Welford's online algorithm,
@@ -37,9 +36,6 @@ func (a *Acc) Add(x float64) {
 	a.m2 += d * (x - a.mean)
 }
 
-// N reports the number of observations.
-func (a *Acc) N() int { return a.n }
-
 // Mean reports the sample mean (0 when empty).
 func (a *Acc) Mean() float64 { return a.mean }
 
@@ -54,10 +50,6 @@ func (a *Acc) Var() float64 {
 
 // Std reports the sample standard deviation.
 func (a *Acc) Std() float64 { return math.Sqrt(a.Var()) }
-
-// Min and Max report observed extremes (0 when empty).
-func (a *Acc) Min() float64 { return a.min }
-func (a *Acc) Max() float64 { return a.max }
 
 // CI95 reports the half-width of the ~95% confidence interval on the
 // mean, using the normal approximation (adequate at the 50 replicas the
@@ -85,41 +77,4 @@ func (a *Acc) Summary() Summary {
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g ±%.2g (std=%.3g, min=%.4g, max=%.4g)",
 		s.N, s.Mean, s.CI95, s.Std, s.Min, s.Max)
-}
-
-// Mean computes the mean of a slice (0 when empty).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// Percentile reports the p-th percentile (0 <= p <= 100) using linear
-// interpolation between order statistics. It panics on an empty slice or
-// a p outside [0,100].
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Percentile of empty slice")
-	}
-	if p < 0 || p > 100 {
-		panic("stats: Percentile out of range")
-	}
-	ys := append([]float64(nil), xs...)
-	sort.Float64s(ys)
-	if len(ys) == 1 {
-		return ys[0]
-	}
-	pos := p / 100 * float64(len(ys)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return ys[lo]
-	}
-	frac := pos - float64(lo)
-	return ys[lo]*(1-frac) + ys[hi]*frac
 }

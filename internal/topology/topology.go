@@ -279,12 +279,3 @@ func (t *Topology) Save(w io.Writer) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(t)
 }
-
-// Load reads a topology from JSON and finalizes it.
-func Load(r io.Reader) (*Topology, error) {
-	var t Topology
-	if err := json.NewDecoder(r).Decode(&t); err != nil {
-		return nil, err
-	}
-	return &t, nil
-}

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -83,7 +84,7 @@ func TestGenerateParameterRanges(t *testing.T) {
 		if sv.Channels != 3 || sv.Bandwidth != 200 {
 			t.Errorf("server channels/bandwidth wrong: %+v", sv)
 		}
-		if !top.Region.Contains(sv.Pos) {
+		if top.Region.Clamp(sv.Pos) != sv.Pos {
 			t.Errorf("server outside region: %v", sv.Pos)
 		}
 	}
@@ -94,7 +95,7 @@ func TestGenerateParameterRanges(t *testing.T) {
 		if u.MaxRate < 150 || u.MaxRate > 250 {
 			t.Errorf("user max rate %v out of range", u.MaxRate)
 		}
-		if !top.Region.Contains(u.Pos) {
+		if top.Region.Clamp(u.Pos) != u.Pos {
 			t.Errorf("user outside region: %v", u.Pos)
 		}
 	}
@@ -239,9 +240,9 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err := top.Save(&buf); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	got, err := Load(&buf)
-	if err != nil {
-		t.Fatalf("Load: %v", err)
+	var got Topology
+	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
+		t.Fatalf("decode: %v", err)
 	}
 	if got.N() != top.N() || got.M() != top.M() {
 		t.Fatalf("round trip sizes differ")
@@ -323,11 +324,12 @@ func TestAllowPartition(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewBufferString("{")); err == nil {
+	var top Topology
+	if err := json.Unmarshal([]byte("{"), &top); err == nil {
 		t.Error("garbage accepted")
 	}
 	// Valid JSON, invalid topology (no servers, nil graph vertices).
-	if _, err := Load(bytes.NewBufferString(`{"servers":[],"users":[],"cloudRate":0,"links":[]}`)); err == nil {
+	if err := json.Unmarshal([]byte(`{"servers":[],"users":[],"cloudRate":0,"links":[]}`), &top); err == nil {
 		t.Error("invalid topology accepted")
 	}
 }

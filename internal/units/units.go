@@ -12,7 +12,6 @@ package units
 import (
 	"fmt"
 	"math"
-	"time"
 )
 
 // Watts is a transmit power in Watts.
@@ -26,13 +25,7 @@ func (d DBm) Watts() Watts {
 	return Watts(math.Pow(10, (float64(d)-30)/10))
 }
 
-// DBm converts a power in Watts to dBm: 10·log10(P/1mW).
-func (w Watts) DBm() DBm {
-	return DBm(10*math.Log10(float64(w)) + 30)
-}
-
 func (w Watts) String() string { return fmt.Sprintf("%gW", float64(w)) }
-func (d DBm) String() string   { return fmt.Sprintf("%gdBm", float64(d)) }
 
 // MegaBytes is a data volume in MB. Storage capacities and data item
 // sizes (Eq. 6) are integral MB in the paper, but fractional values are
@@ -53,11 +46,6 @@ type Seconds float64
 
 // Millis reports the duration in milliseconds.
 func (s Seconds) Millis() float64 { return float64(s) * 1e3 }
-
-// Duration converts to a time.Duration (truncated to nanoseconds).
-func (s Seconds) Duration() time.Duration {
-	return time.Duration(float64(s) * float64(time.Second))
-}
 
 func (s Seconds) String() string {
 	if s < 1 {

@@ -176,13 +176,3 @@ func (w *Workload) Save(out io.Writer) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(w)
 }
-
-// Load reads a workload from JSON (validation is the caller's job,
-// since it needs the topology dimensions).
-func Load(r io.Reader) (*Workload, error) {
-	var w Workload
-	if err := json.NewDecoder(r).Decode(&w); err != nil {
-		return nil, err
-	}
-	return &w, nil
-}

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"idde/internal/rng"
@@ -174,9 +175,9 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err := w.Save(&buf); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	got, err := Load(&buf)
-	if err != nil {
-		t.Fatalf("Load: %v", err)
+	got := &Workload{}
+	if err := json.Unmarshal(buf.Bytes(), got); err != nil {
+		t.Fatalf("decode: %v", err)
 	}
 	if err := got.Validate(20, 80); err != nil {
 		t.Errorf("round-trip workload invalid: %v", err)

@@ -2,7 +2,6 @@ package idde
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 
 	"idde/internal/model"
@@ -49,60 +48,4 @@ func (st *Strategy) Save(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
-}
-
-// LoadStrategy reads a strategy saved by Save, validates it against
-// this scenario's constraints (Eqs. 1 and 6) and re-evaluates both
-// objectives. Loading a strategy into a different scenario than it was
-// formulated for fails validation rather than silently mis-reporting.
-func (sc *Scenario) LoadStrategy(r io.Reader) (*Strategy, error) {
-	var in strategyJSON
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
-		return nil, fmt.Errorf("idde: decoding strategy: %w", err)
-	}
-	if len(in.Alloc) != sc.Users() {
-		return nil, fmt.Errorf("idde: strategy has %d users, scenario has %d", len(in.Alloc), sc.Users())
-	}
-	var mode model.DeliveryMode
-	found := false
-	for m, name := range modeNames {
-		if name == in.Mode {
-			mode = m
-			found = true
-		}
-	}
-	if !found {
-		return nil, fmt.Errorf("idde: unknown delivery mode %q", in.Mode)
-	}
-	raw := model.Strategy{
-		Alloc:    model.NewAllocation(sc.Users()),
-		Delivery: model.NewDelivery(sc.Servers(), sc.DataItems()),
-		Mode:     mode,
-	}
-	for j, a := range in.Alloc {
-		if a != nil {
-			raw.Alloc[j] = model.Alloc{Server: a[0], Channel: a[1]}
-		}
-	}
-	for _, rep := range in.Replicas {
-		i, k := rep[0], rep[1]
-		if i < 0 || i >= sc.Servers() || k < 0 || k >= sc.DataItems() {
-			return nil, fmt.Errorf("idde: replica (%d,%d) out of range", i, k)
-		}
-		if raw.Delivery.Placed(i, k) {
-			return nil, fmt.Errorf("idde: duplicate replica (%d,%d)", i, k)
-		}
-		raw.Delivery.Place(i, k, sc.in.Wl.Items[k].Size)
-	}
-	if err := sc.in.Check(raw); err != nil {
-		return nil, fmt.Errorf("idde: loaded strategy invalid for this scenario: %w", err)
-	}
-	rate, lat := sc.in.Evaluate(raw)
-	return &Strategy{
-		Approach:     in.Approach,
-		AvgRateMBps:  float64(rate),
-		AvgLatencyMs: lat.Millis(),
-		raw:          raw,
-		sc:           sc,
-	}, nil
 }
