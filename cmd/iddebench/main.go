@@ -1,11 +1,17 @@
 // Command iddebench regenerates the paper's evaluation: Table 2 and
 // Figures 1 and 3–7. Each figure's data is printed as a markdown table
-// and optionally written as CSV series for plotting.
+// and optionally written as CSV series for plotting; each of Figures
+// 3–6 is followed by IDDE-G's measured advantages lined up against the
+// values the paper quotes, with a shape verdict. The full run (-fig 0)
+// also prints Table 2, the paper's Figure 1 and Figure 7 values and the
+// §4.5.1 overall-advantage table: it is the report behind EXPERIMENTS.md.
 //
 // Usage:
 //
 //	iddebench -list                 # print Table 2
+//	iddebench -fig 1                # Figure 1: edge vs cloud latency probe
 //	iddebench -fig 3                # regenerate Figure 3 (Set #1)
+//	iddebench -fig 0 -reps 10 -seed 2022 -out results > results/report.md
 //	iddebench -fig 0 -reps 50       # everything, at the paper's budget
 //	iddebench -fig 4 -out results/  # also write CSV files
 //
@@ -36,6 +42,7 @@ import (
 	"idde/internal/cloudlat"
 	"idde/internal/experiment"
 	"idde/internal/obs"
+	"idde/internal/paper"
 	"idde/internal/rng"
 	"idde/internal/viz"
 )
@@ -131,9 +138,15 @@ func run(fig, reps int, seed uint64, ipBudget time.Duration, noIP bool, outDir s
 	wantSet := map[int]int{3: 1, 4: 2, 5: 3, 6: 4} // figure → set
 	var timing []*experiment.SetResult
 
+	if fig == 0 {
+		fmt.Println(experiment.Table2Markdown())
+	}
 	if fig == 0 || fig == 1 {
 		series := cloudlat.Collect(cloudlat.DefaultTargets(), rng.New(seed))
 		fmt.Println(experiment.Fig1Markdown(series))
+		if fig == 0 {
+			fmt.Printf("Paper (approximate bar heights): %s\n\n", fmtMap(paper.Fig1ApproxMeansMs))
+		}
 		if plot {
 			labels := make([]string, len(series))
 			means := make([]float64, len(series))
@@ -167,6 +180,7 @@ func run(fig, reps int, seed uint64, ipBudget time.Duration, noIP bool, outDir s
 		if fig == 0 || fig == f {
 			fmt.Printf("Figure %d(a): %s\n", f, sr.MarkdownTable(experiment.RateMetric))
 			fmt.Printf("Figure %d(b): %s\n", f, sr.MarkdownTable(experiment.LatencyMetric))
+			fmt.Printf("Figure %d paper-vs-measured shape checks:\n\n%s\n", f, paper.Markdown(paper.CompareAdvantages(sr)))
 			if plot {
 				for _, m := range []experiment.Metric{experiment.RateMetric, experiment.LatencyMetric} {
 					xs, labels, ys := sr.SeriesFor(m)
@@ -191,6 +205,10 @@ func run(fig, reps int, seed uint64, ipBudget time.Duration, noIP bool, outDir s
 	}
 	if fig == 0 || fig == 7 {
 		fmt.Println(experiment.TimingMarkdown(timing))
+		if fig == 0 {
+			fmt.Printf("Paper means (s): %s\n\n", fmtMap(paper.Fig7MeanSeconds))
+			fmt.Printf("Overall advantages (paper §4.5.1 headline):\n\n%s", paper.OverallMarkdown(timing))
+		}
 		if outDir != "" && len(timing) > 0 {
 			var csv string
 			for _, sr := range timing {
@@ -209,6 +227,17 @@ func fig1CSV(series []cloudlat.Series) string {
 	for _, s := range series {
 		out += fmt.Sprintf("%s,%s,%.3f,%.3f,%.3f\n",
 			s.Target.Name, s.Target.Kind, s.Mean.Millis(), s.Min.Millis(), s.Max.Millis())
+	}
+	return out
+}
+
+// fmtMap prints a paper value table in legend order.
+func fmtMap(m map[string]float64) string {
+	out := ""
+	for _, k := range []string{"IDDE-IP", "IDDE-G", "SAA", "CDP", "DUP-G", "Edge", "Singapore", "London", "Frankfurt"} {
+		if v, ok := m[k]; ok {
+			out += fmt.Sprintf("%s=%.2f ", k, v)
+		}
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"idde/internal/rng"
@@ -242,6 +243,21 @@ func TestShortestPathKnown(t *testing.T) {
 	}
 }
 
+// TestShortestPathTieBreaksToLowerParent builds an equal-cost diamond
+// whose higher-index middle vertex is settled first, so only the
+// lower-parent tie-break turns the path through vertex 1.
+func TestShortestPathTieBreaksToLowerParent(t *testing.T) {
+	g := New(4)
+	g.AddEdge(0, 2, 1)
+	g.AddEdge(0, 1, 1)
+	g.AddEdge(2, 3, 1)
+	g.AddEdge(1, 3, 1)
+	path, cost, ok := g.ShortestPath(0, 3)
+	if !ok || cost != 2 || !slices.Equal(path, []int{0, 1, 3}) {
+		t.Fatalf("path %v cost %v ok %v, want [0 1 3] cost 2", path, cost, ok)
+	}
+}
+
 func TestShortestPathUnreachable(t *testing.T) {
 	g := New(3)
 	g.AddEdge(0, 1, 1)
@@ -259,7 +275,7 @@ func TestShortestPathMatchesDijkstraCost(t *testing.T) {
 		if !ok {
 			t.Fatalf("no path to %d", v)
 		}
-		if math.Abs(float64(cost-d[v])) > 1e-12*math.Max(1, float64(d[v])) {
+		if cost != d[v] {
 			t.Fatalf("cost to %d: %v vs Dijkstra %v", v, cost, d[v])
 		}
 		// Path must be a real walk whose edge costs sum to the total.

@@ -11,7 +11,14 @@ import (
 // Unreachable vertices get +Inf. Costs are per-MB transfer costs, so the
 // result, multiplied by a data size, is the lowest delivery latency from
 // src (Eq. 8's L_{k,o,i} with d_k of that size).
-func (g *Graph) Dijkstra(src int) []units.SecondsPerMB {
+func (g *Graph) Dijkstra(src int) []units.SecondsPerMB { return g.search(src, -1, nil) }
+
+// search is the one Dijkstra loop behind Dijkstra, APSP and
+// ShortestPath. It stops once dst is settled (dst < 0 settles every
+// vertex). When parent is non-nil it records each reached vertex's
+// predecessor on a cheapest path, breaking cost ties toward the lower
+// parent index; without it, ties cost nothing.
+func (g *Graph) search(src, dst int, parent []int) []units.SecondsPerMB {
 	dist := make([]units.SecondsPerMB, g.n)
 	for i := range dist {
 		dist[i] = units.SecondsPerMB(math.Inf(1))
@@ -23,9 +30,16 @@ func (g *Graph) Dijkstra(src int) []units.SecondsPerMB {
 		if item.d > dist[item.v] {
 			continue // stale entry
 		}
+		if item.v == dst {
+			break
+		}
 		for _, e := range g.adj[item.v] {
-			if nd := item.d + e.cost; nd < dist[e.to] {
+			nd := item.d + e.cost
+			if nd < dist[e.to] || (parent != nil && nd == dist[e.to] && parent[e.to] > item.v) {
 				dist[e.to] = nd
+				if parent != nil {
+					parent[e.to] = item.v
+				}
 				heap.Push(pq, costItem{v: e.to, d: nd})
 			}
 		}
@@ -50,31 +64,11 @@ func (g *Graph) APSP() [][]units.SecondsPerMB {
 // ok=false when dst is unreachable. Ties break toward lower parent
 // indices, so the result is deterministic.
 func (g *Graph) ShortestPath(src, dst int) (path []int, cost units.SecondsPerMB, ok bool) {
-	dist := make([]units.SecondsPerMB, g.n)
 	parent := make([]int, g.n)
-	for i := range dist {
-		dist[i] = units.SecondsPerMB(math.Inf(1))
+	for i := range parent {
 		parent[i] = -1
 	}
-	dist[src] = 0
-	pq := &costHeap{{v: src, d: 0}}
-	for pq.Len() > 0 {
-		item := heap.Pop(pq).(costItem)
-		if item.d > dist[item.v] {
-			continue
-		}
-		if item.v == dst {
-			break
-		}
-		for _, e := range g.adj[item.v] {
-			nd := item.d + e.cost
-			if nd < dist[e.to] || (nd == dist[e.to] && parent[e.to] > item.v) {
-				dist[e.to] = nd
-				parent[e.to] = item.v
-				heap.Push(pq, costItem{v: e.to, d: nd})
-			}
-		}
-	}
+	dist := g.search(src, dst, parent)
 	if math.IsInf(float64(dist[dst]), 1) {
 		return nil, 0, false
 	}

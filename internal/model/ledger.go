@@ -673,6 +673,54 @@ func (l *Ledger) Best(j int, servers []int) (best Alloc, bestB, curB float64) {
 	return best, bestB, curB
 }
 
+// Respond is one best-response turn for user j: it runs Best over
+// Coverage[j] and moves j there when that strictly improves j's Eq. 12
+// benefit by more than 1e-12, which keeps floating-point noise from
+// triggering moves. It reports whether j moved.
+func (l *Ledger) Respond(j int) bool {
+	best, bestB, curB := l.Best(j, l.in.Top.Coverage[j])
+	if best != l.alloc[j] && bestB > curB+1e-12 {
+		l.Move(j, best)
+		return true
+	}
+	return false
+}
+
+// Ripple re-equilibrates the co-coverage neighbourhood of the seeds:
+// every user sharing a covering server with one of them, in first-seen
+// order over seeds, Coverage and Covered. It runs at most waves Respond
+// sweeps over that list, stopping after a sweep that moves nobody, and
+// returns the number of moves. A sweep passes over the users skip
+// reports (nil skips none); skip is asked once per user per sweep.
+func (l *Ledger) Ripple(seeds []int, waves int, skip func(int) bool) int {
+	seen := make([]bool, len(l.alloc))
+	var hood []int
+	for _, j := range seeds {
+		for _, i := range l.in.Top.Coverage[j] {
+			for _, t := range l.in.Top.Covered[i] {
+				if !seen[t] {
+					seen[t] = true
+					hood = append(hood, t)
+				}
+			}
+		}
+	}
+	moves := 0
+	for wave := 0; wave < waves; wave++ {
+		moved := false
+		for _, t := range hood {
+			if (skip == nil || !skip(t)) && l.Respond(t) {
+				moves++
+				moved = true
+			}
+		}
+		if !moved {
+			break
+		}
+	}
+	return moves
+}
+
 // benefit evaluates Eq. (12) from the link quantities of decision a.
 func (l *Ledger) benefit(j int, a Alloc, g float64, f units.Watts) float64 {
 	p := float64(l.in.Top.Users[j].Power)

@@ -8,6 +8,8 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+
+	"idde/internal/rng"
 )
 
 // FlightAttempt is one hop of a sampled request's attempt chain: which
@@ -137,15 +139,6 @@ func rateThreshold(rate float64) uint64 {
 // the same label space (an arbitrary odd constant).
 const flightSalt = 0x9d8f3c1b5a7e2461
 
-// splitmix64 is SplitMix64's finalizer — the same mixer the rng package
-// uses to decorrelate adjacent seeds.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // Sample reports whether the request identified by label is captured.
 // It is a pure function of (recorder seed, label): no state is read or
 // written and no rng draw is consumed, so same-seed runs capture the
@@ -155,7 +148,7 @@ func (f *FlightRecorder) Sample(label uint64) bool {
 	if f == nil || f.threshold == 0 {
 		return false
 	}
-	return splitmix64(label^f.seed^flightSalt) < f.threshold
+	return rng.Mix(label^f.seed^flightSalt) < f.threshold
 }
 
 // Add appends one sampled record to the current round's pending slice.

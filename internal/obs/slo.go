@@ -13,41 +13,22 @@ package obs
 // the serving data plane feeds one observation per virtual round, so the
 // whole engine runs on the virtual clock and stays deterministic.
 
+// The two trailing windows, in evaluation periods, and their breach
+// burn-rate thresholds: the conventional page-level pair.
+const (
+	fastWindow = 5
+	slowWindow = 30
+	fastBurn   = 14.4
+	slowBurn   = 6.0
+)
+
 // SLOConfig declares one objective.
 type SLOConfig struct {
 	// Name identifies the objective ("availability", "latency").
 	Name string
-	// Target is the good-fraction objective in (0,1), e.g. 0.999.
+	// Target is the good-fraction objective in (0,1), e.g. 0.999
+	// (the default).
 	Target float64
-	// FastWindow and SlowWindow are the two trailing window lengths, in
-	// evaluation periods (defaults 5 and 30).
-	FastWindow, SlowWindow int
-	// FastBurn and SlowBurn are the breach thresholds for the two
-	// windows (defaults 14.4 and 6 — the conventional page-level pair).
-	FastBurn, SlowBurn float64
-}
-
-// withDefaults fills the zero fields.
-func (c SLOConfig) withDefaults() SLOConfig {
-	if c.Target <= 0 || c.Target >= 1 {
-		c.Target = 0.999
-	}
-	if c.FastWindow <= 0 {
-		c.FastWindow = 5
-	}
-	if c.SlowWindow <= 0 {
-		c.SlowWindow = 30
-	}
-	if c.SlowWindow < c.FastWindow {
-		c.SlowWindow = c.FastWindow
-	}
-	if c.FastBurn <= 0 {
-		c.FastBurn = 14.4
-	}
-	if c.SlowBurn <= 0 {
-		c.SlowBurn = 6
-	}
-	return c
 }
 
 // SLOStatus is the result of one Observe: the two window burn rates and
@@ -81,7 +62,7 @@ type SLOSnapshot struct {
 // trajectory deterministic.
 type SLO struct {
 	cfg      SLOConfig
-	good     []int64 // circular, SlowWindow periods
+	good     []int64 // circular, slowWindow periods
 	total    []int64
 	pos      int
 	filled   int
@@ -94,13 +75,16 @@ type SLO struct {
 	breaches int64
 }
 
-// NewSLO builds an SLO from cfg (zero fields take the defaults).
+// NewSLO builds an SLO from cfg; a Target outside (0,1) takes the
+// default.
 func NewSLO(cfg SLOConfig) *SLO {
-	cfg = cfg.withDefaults()
+	if cfg.Target <= 0 || cfg.Target >= 1 {
+		cfg.Target = 0.999
+	}
 	return &SLO{
 		cfg:   cfg,
-		good:  make([]int64, cfg.SlowWindow),
-		total: make([]int64, cfg.SlowWindow),
+		good:  make([]int64, slowWindow),
+		total: make([]int64, slowWindow),
 	}
 }
 
@@ -141,10 +125,10 @@ func (s *SLO) Observe(good, total int64) SLOStatus {
 	s.cumTotal += total
 
 	st := SLOStatus{
-		FastBurn: s.windowBurn(s.cfg.FastWindow),
-		SlowBurn: s.windowBurn(s.cfg.SlowWindow),
+		FastBurn: s.windowBurn(fastWindow),
+		SlowBurn: s.windowBurn(slowWindow),
 	}
-	st.Breach = st.FastBurn >= s.cfg.FastBurn && st.SlowBurn >= s.cfg.SlowBurn
+	st.Breach = st.FastBurn >= fastBurn && st.SlowBurn >= slowBurn
 	if st.FastBurn > s.maxFast {
 		s.maxFast = st.FastBurn
 	}

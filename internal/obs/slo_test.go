@@ -7,10 +7,11 @@ import (
 
 func TestSLODefaults(t *testing.T) {
 	s := NewSLO(SLOConfig{Name: "availability"})
-	cfg := s.Config()
-	if cfg.Target != 0.999 || cfg.FastWindow != 5 || cfg.SlowWindow != 30 ||
-		cfg.FastBurn != 14.4 || cfg.SlowBurn != 6 {
+	if cfg := s.Config(); cfg != (SLOConfig{Name: "availability", Target: 0.999}) {
 		t.Fatalf("defaults = %+v", cfg)
+	}
+	if len(s.good) != slowWindow || fastWindow != 5 || slowWindow != 30 || fastBurn != 14.4 || slowBurn != 6 {
+		t.Fatalf("windows %d/%d (ring %d), thresholds %g/%g", fastWindow, slowWindow, len(s.good), fastBurn, slowBurn)
 	}
 	var nilS *SLO
 	if st := nilS.Observe(1, 1); st.Breach {
@@ -21,50 +22,56 @@ func TestSLODefaults(t *testing.T) {
 	}
 }
 
-// TestSLOBurnRates pins the arithmetic: burn = window error rate divided
-// by the error budget (1 - target).
+// TestSLOBurnRates pins the arithmetic on the 5- and 30-period windows:
+// burn = window error rate divided by the error budget (1 - target).
 func TestSLOBurnRates(t *testing.T) {
-	s := NewSLO(SLOConfig{Name: "avail", Target: 0.99, FastWindow: 2, SlowWindow: 4, FastBurn: 10, SlowBurn: 5})
-	// Perfect periods: burn 0.
-	for i := 0; i < 4; i++ {
+	s := NewSLO(SLOConfig{Name: "avail", Target: 0.99})
+	// Perfect periods fill the slow window: burn 0.
+	for i := 0; i < slowWindow; i++ {
 		if st := s.Observe(100, 100); st.FastBurn != 0 || st.SlowBurn != 0 || st.Breach {
 			t.Fatalf("healthy period %d: %+v", i, st)
 		}
 	}
-	// One period at 30% errors: fast window (2 periods) = 15% error rate
-	// -> burn 15; slow window (4 periods) = 7.5% -> burn 7.5. Both over
-	// threshold: breach.
-	st := s.Observe(70, 100)
-	if math.Abs(st.FastBurn-15) > 1e-9 || math.Abs(st.SlowBurn-7.5) > 1e-9 {
-		t.Fatalf("burns = %+v, want fast 15 slow 7.5", st)
+	// One fully failed period: the fast window (5 periods) is at 20%
+	// errors -> burn 20 >= 14.4, but the slow window (30 periods) is at
+	// 3.33% -> burn 3.33 < 6: a one-period blip does not breach.
+	st := s.Observe(0, 100)
+	if math.Abs(st.FastBurn-20) > 1e-9 || math.Abs(st.SlowBurn-10.0/3) > 1e-9 || st.Breach {
+		t.Fatalf("after one bad period: %+v, want fast 20 slow 3.33 no breach", st)
 	}
-	if !st.Breach {
-		t.Fatal("both windows over threshold but no breach")
+	// A second one: fast 40, slow 6.67 — both over threshold: breach.
+	st = s.Observe(0, 100)
+	if math.Abs(st.FastBurn-40) > 1e-9 || math.Abs(st.SlowBurn-20.0/3) > 1e-9 || !st.Breach {
+		t.Fatalf("after two bad periods: %+v, want fast 40 slow 6.67 breach", st)
 	}
-	// Recovery: the first perfect period still has the incident inside
-	// the 2-period fast window (a second breach); the next one pushes it
-	// out while the slow window still remembers it.
-	s.Observe(100, 100)
+	// Recovery: the incident stays inside the fast window for four more
+	// perfect periods (four more breaches); the fifth pushes it out while
+	// the slow window still remembers it.
+	for i := 0; i < fastWindow-1; i++ {
+		if st := s.Observe(100, 100); !st.Breach {
+			t.Fatalf("recovery period %d: %+v, want a breach", i, st)
+		}
+	}
 	st = s.Observe(100, 100)
 	if st.FastBurn != 0 {
 		t.Fatalf("fast burn %g after recovery, want 0", st.FastBurn)
 	}
-	if st.SlowBurn == 0 {
-		t.Fatal("slow window forgot the incident too early")
+	if math.Abs(st.SlowBurn-20.0/3) > 1e-9 {
+		t.Fatalf("slow burn %g after recovery, want 6.67", st.SlowBurn)
 	}
 	if st.Breach {
 		t.Fatal("breach without the fast window burning")
 	}
 
 	snap := s.Snapshot()
-	if snap.Total != 7*100 || snap.Good != 670 {
+	if snap.Total != 37*100 || snap.Good != 3500 {
 		t.Fatalf("snapshot totals %d/%d", snap.Good, snap.Total)
 	}
-	if math.Abs(snap.Compliance-670.0/700) > 1e-12 {
+	if math.Abs(snap.Compliance-3500.0/3700) > 1e-12 {
 		t.Fatalf("compliance %g", snap.Compliance)
 	}
-	if snap.Breaches != 2 || math.Abs(snap.MaxFastBurn-15) > 1e-9 {
-		t.Fatalf("breaches=%d maxFast=%g", snap.Breaches, snap.MaxFastBurn)
+	if snap.Breaches != 5 || math.Abs(snap.MaxFastBurn-40) > 1e-9 || math.Abs(snap.MaxSlowBurn-20.0/3) > 1e-9 {
+		t.Fatalf("breaches=%d maxFast=%g maxSlow=%g", snap.Breaches, snap.MaxFastBurn, snap.MaxSlowBurn)
 	}
 }
 
@@ -72,13 +79,13 @@ func TestSLOBurnRates(t *testing.T) {
 // window dilutes below threshold must not breach — the whole point of
 // the multi-window pairing.
 func TestSLOFastOnlySpikeSuppressed(t *testing.T) {
-	s := NewSLO(SLOConfig{Target: 0.99, FastWindow: 1, SlowWindow: 30, FastBurn: 10, SlowBurn: 5})
-	for i := 0; i < 29; i++ {
+	s := NewSLO(SLOConfig{Target: 0.99})
+	for i := 0; i < slowWindow-1; i++ {
 		s.Observe(1000, 1000)
 	}
-	st := s.Observe(800, 1000) // fast burn 20, slow burn ~0.67
-	if st.FastBurn < 10 {
-		t.Fatalf("fast burn %g, want >= 10", st.FastBurn)
+	st := s.Observe(0, 1000) // fast burn 20, slow burn ~3.33
+	if st.FastBurn < fastBurn {
+		t.Fatalf("fast burn %g, want >= %g", st.FastBurn, fastBurn)
 	}
 	if st.Breach {
 		t.Fatal("one-period spike breached despite a calm slow window")

@@ -28,13 +28,11 @@ import (
 	"idde/internal/units"
 )
 
-// The incremental work per event is bounded by three constants.
+// The incremental work per event is bounded by two constants.
 const (
 	// waves is the number of neighbourhood re-equilibration sweeps
 	// after a join/leave.
 	waves = 2
-	// epsilon is the minimum benefit improvement for a move.
-	epsilon = 1e-12
 	// placeThreshold is the minimum latency-gain-per-MB (s/MB) for an
 	// on-demand replica placement, as a fraction of the cloud per-MB
 	// cost: a replica must recover at least a quarter of a cloud fetch
@@ -97,7 +95,7 @@ func (s *System) Join(j int) (int, error) {
 	s.active[j] = true
 	s.stats.Joins++
 	moves := 0
-	if s.bestRespond(j) {
+	if s.ledger.Respond(j) {
 		moves++
 	}
 	moves += s.requilibrate(j)
@@ -123,48 +121,11 @@ func (s *System) Leave(j int) (int, error) {
 	return moves, nil
 }
 
-// bestRespond moves j to its best decision; reports whether it moved.
-func (s *System) bestRespond(j int) bool {
-	best, bestB, curB := s.ledger.Best(j, s.in.Top.Coverage[j])
-	if bestB-curB > epsilon && best != s.ledger.Current(j) {
-		s.ledger.Move(j, best)
-		return true
-	}
-	return false
-}
-
-// neighbours returns the active users that share coverage with j (the
-// only users whose payoffs j's decision can influence).
-func (s *System) neighbours(j int) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, i := range s.in.Top.Coverage[j] {
-		for _, t := range s.in.Top.Covered[i] {
-			if t != j && s.active[t] && !seen[t] {
-				seen[t] = true
-				out = append(out, t)
-			}
-		}
-	}
-	return out
-}
-
-// requilibrate runs bounded best-response waves over j's neighbourhood.
+// requilibrate runs bounded best-response waves over the active users
+// that share coverage with j (the only users whose payoffs j's decision
+// can influence).
 func (s *System) requilibrate(j int) int {
-	moves := 0
-	for wave := 0; wave < waves; wave++ {
-		moved := false
-		for _, t := range s.neighbours(j) {
-			if s.bestRespond(t) {
-				moves++
-				moved = true
-			}
-		}
-		if !moved {
-			break
-		}
-	}
-	return moves
+	return s.ledger.Ripple([]int{j}, waves, func(t int) bool { return t == j || !s.active[t] })
 }
 
 // patchDelivery places replicas for the joining user's items when the

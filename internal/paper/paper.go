@@ -102,14 +102,30 @@ type Check struct {
 	OK bool
 }
 
+// ran lists the Baselines that sr's configuration ran, in legend order.
+func ran(sr *experiment.SetResult) []string {
+	var out []string
+	for _, name := range Baselines {
+		for _, a := range sr.Config.Approaches {
+			if a.Name() == name {
+				out = append(out, name)
+				break
+			}
+		}
+	}
+	return out
+}
+
 // CompareAdvantages computes IDDE-G's measured advantages for a set and
 // lines them up with the paper's quoted values where present. A row is
 // OK when the measured advantage is positive (IDDE-G wins), which is
-// the claim the paper's sentence encodes.
+// the claim the paper's sentence encodes. Baselines the set did not run
+// get no row.
 func CompareAdvantages(sr *experiment.SetResult) []Check {
 	quoted := PerSet[sr.Set.ID]
+	names := ran(sr)
 	var out []Check
-	for _, name := range Baselines {
+	for _, name := range names {
 		measured := sr.Advantage(name, experiment.RateMetric) * 100
 		row := Check{
 			Name:     fmt.Sprintf("Set #%d rate advantage vs %s", sr.Set.ID, name),
@@ -122,7 +138,7 @@ func CompareAdvantages(sr *experiment.SetResult) []Check {
 		}
 		out = append(out, row)
 	}
-	for _, name := range Baselines {
+	for _, name := range names {
 		measured := sr.Advantage(name, experiment.LatencyMetric) * 100
 		row := Check{
 			Name:     fmt.Sprintf("Set #%d latency advantage vs %s", sr.Set.ID, name),
@@ -153,6 +169,29 @@ func Markdown(checks []Check) string {
 			verdict = "✓"
 		}
 		fmt.Fprintf(&b, "| %s | %s | %.2f%s | %s |\n", c.Name, pv, c.Measured, c.Unit, verdict)
+	}
+	return b.String()
+}
+
+// OverallMarkdown renders §4.5.1's headline table: for each baseline the
+// sets ran, the paper's overall rate and latency advantages next to
+// IDDE-G's measured ones averaged over srs, which all ran the same
+// approaches.
+func OverallMarkdown(srs []*experiment.SetResult) string {
+	if len(srs) == 0 {
+		return ""
+	}
+	var b strings.Builder
+	b.WriteString("| Baseline | Paper rate adv | Measured rate adv | Paper latency adv | Measured latency adv |\n|---|---|---|---|---|\n")
+	n := float64(len(srs))
+	for _, name := range ran(srs[0]) {
+		var rate, lat float64
+		for _, sr := range srs {
+			rate += sr.Advantage(name, experiment.RateMetric)
+			lat += sr.Advantage(name, experiment.LatencyMetric)
+		}
+		fmt.Fprintf(&b, "| %s | %.2f%% | %.2f%% | %.2f%% | %.2f%% |\n",
+			name, Overall.Rate[name], rate/n*100, Overall.Latency[name], lat/n*100)
 	}
 	return b.String()
 }

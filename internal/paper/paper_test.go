@@ -1,6 +1,7 @@
 package paper
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -126,5 +127,44 @@ func TestCompareAdvantagesAndMarkdown(t *testing.T) {
 		if !strings.Contains(md, want) {
 			t.Errorf("markdown missing %q", want)
 		}
+	}
+}
+
+// TestBaselinesNotRunGetNoRows: without IDDE-IP in the run, neither the
+// per-set shape checks nor the overall table carry an IDDE-IP row, and
+// the overall row of a baseline averages its per-set advantages.
+func TestBaselinesNotRunGetNoRows(t *testing.T) {
+	cfg := experiment.Config{Reps: 1, Seed: 5, Approaches: baseline.Heuristics()}
+	var srs []*experiment.SetResult
+	for _, id := range []int{1, 2} {
+		set := experiment.Set{
+			ID: id, Vary: "N", Values: []float64{10},
+			Base: experiment.Params{M: 40, K: 3, Density: 1.0},
+		}
+		sr, err := experiment.RunSet(set, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srs = append(srs, sr)
+		checks := CompareAdvantages(sr)
+		if len(checks) != 6 {
+			t.Fatalf("set %d: %d checks, want 6", id, len(checks))
+		}
+		for _, c := range checks {
+			if strings.Contains(c.Name, "IDDE-IP") {
+				t.Fatalf("check %q for a baseline the set did not run", c.Name)
+			}
+		}
+	}
+	md := OverallMarkdown(srs)
+	if strings.Contains(md, "IDDE-IP") || strings.Count(md, "\n") != 2+3 {
+		t.Fatalf("overall table:\n%s", md)
+	}
+	sum := srs[0].Advantage("SAA", experiment.RateMetric) + srs[1].Advantage("SAA", experiment.RateMetric)
+	if want := fmt.Sprintf("| SAA | %.2f%% | %.2f%% |", Overall.Rate["SAA"], sum/2*100); !strings.Contains(md, want) {
+		t.Fatalf("overall table lacks %q:\n%s", want, md)
+	}
+	if OverallMarkdown(nil) != "" {
+		t.Fatal("overall table of no sets is not empty")
 	}
 }

@@ -14,6 +14,7 @@ package repair
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"idde/internal/graph"
@@ -156,8 +157,7 @@ func RepairDegraded(ref, degraded *model.Instance, st model.Strategy, opt Option
 	down := func(i int) bool { return degraded.Top.Servers[i].Failed }
 
 	// Phase A: displace users of dead servers, re-admit users that
-	// regained coverage, and re-equilibrate. A displaced user that is
-	// still covered is listed twice, so it gets two best-response turns.
+	// regained coverage, and re-equilibrate.
 	alloc := st.Alloc.Clone()
 	var wavefront []int
 	for j, a := range alloc {
@@ -172,25 +172,16 @@ func RepairDegraded(ref, degraded *model.Instance, st model.Strategy, opt Option
 		}
 	}
 	sort.Ints(wavefront)
+	// A displaced user that is still covered was listed twice.
+	wavefront = slices.Compact(wavefront)
 	ledger := model.NewLedger(degraded, alloc)
 	for _, j := range wavefront {
-		if bestRespond(degraded, ledger, j) {
+		if ledger.Respond(j) {
 			rep.Moves++
 		}
 	}
 	// Ripple waves: neighbours of the wavefront may improve.
-	for wave := 0; wave < opt.Waves; wave++ {
-		moved := false
-		for _, j := range neighbourhood(degraded, wavefront) {
-			if bestRespond(degraded, ledger, j) {
-				rep.Moves++
-				moved = true
-			}
-		}
-		if !moved {
-			break
-		}
-	}
+	rep.Moves += ledger.Ripple(wavefront, opt.Waves, nil)
 	newAlloc := ledger.Alloc()
 
 	// Phase B: rebuild the delivery profile — survivors keep their
@@ -226,31 +217,4 @@ func RepairDegraded(ref, degraded *model.Instance, st model.Strategy, opt Option
 		return model.Strategy{}, nil, fmt.Errorf("repair: produced invalid strategy: %w", err)
 	}
 	return repaired, rep, nil
-}
-
-// bestRespond moves j to its Eq. 12 best response; reports movement.
-func bestRespond(in *model.Instance, l *model.Ledger, j int) bool {
-	best, bestB, curB := l.Best(j, in.Top.Coverage[j])
-	if best != l.Current(j) && bestB > curB+1e-12 {
-		l.Move(j, best)
-		return true
-	}
-	return false
-}
-
-// neighbourhood collects users sharing coverage with any displaced user.
-func neighbourhood(in *model.Instance, displaced []int) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, j := range displaced {
-		for _, i := range in.Top.Coverage[j] {
-			for _, t := range in.Top.Covered[i] {
-				if !seen[t] {
-					seen[t] = true
-					out = append(out, t)
-				}
-			}
-		}
-	}
-	return out
 }

@@ -81,7 +81,7 @@ func TestZipfAcrossHandOver(t *testing.T) {
 	for _, seed := range []uint64{0, 2022} {
 		s := New(seed)
 		z := s.NewZipf(0.8, 50)
-		r := rand.New(rand.NewSource(int64(mix(seed))))
+		r := rand.New(rand.NewSource(int64(Mix(seed))))
 		rz := rand.NewZipf(r, 1.8, 1, 49)
 		for i := 0; i < maxFuzzDraws; i++ {
 			if got, want := z.Draw(), int(rz.Uint64()); got != want {
@@ -142,7 +142,7 @@ func checkStreamMatchesMathRand(t *testing.T, seed uint64, n int, ops []byte) {
 			return 0, 0
 		}},
 	}
-	twin := func() *rand.Rand { return rand.New(rand.NewSource(int64(mix(seed)))) }
+	twin := func() *rand.Rand { return rand.New(rand.NewSource(int64(Mix(seed)))) }
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	for _, m := range methods {
 		s, r := New(seed), twin()

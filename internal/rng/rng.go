@@ -31,7 +31,7 @@ type Stream struct {
 }
 
 // New returns a Stream rooted at the given master seed. Its draws are
-// those of rand.NewSource(int64(mix(seed))). The source is seeded lazily
+// those of rand.NewSource(int64(Mix(seed))). The source is seeded lazily
 // (see lazySource), so creating a stream does no seeding work.
 func New(seed uint64) *Stream {
 	s := &Stream{}
@@ -42,7 +42,7 @@ func New(seed uint64) *Stream {
 // reset re-roots s at seed.
 func (s *Stream) reset(seed uint64) {
 	s.seed = seed
-	s.src.Seed(int64(mix(seed)))
+	s.src.Seed(int64(Mix(seed)))
 	if s.own == nil {
 		s.own = rand.New(&s.src)
 	}
@@ -199,9 +199,10 @@ func fnvString(h uint64, s string) uint64 {
 	return h
 }
 
-// mix is SplitMix64's finalizer; it decorrelates adjacent seeds so that
-// master seeds 1,2,3,… give unrelated sequences.
-func mix(x uint64) uint64 {
+// Mix is SplitMix64's finalizer; it decorrelates adjacent seeds so that
+// master seeds 1,2,3,… give unrelated sequences, and it is the flight
+// recorder's sampling hash.
+func Mix(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb

@@ -242,7 +242,7 @@ type Engine struct {
 	fv           *model.Instance
 	fvEmpty      bool
 	lastDeg      repair.Degradation
-	lastBoundary units.Seconds
+	fvBuiltEpoch int // campaign epoch the fault view was built in
 	now          units.Seconds
 	health       []float64
 	stats        engineStats
@@ -374,7 +374,7 @@ func (e *Engine) snapshotLocked(now units.Seconds) (v *view, recovered bool, err
 			e.fvEmpty = false
 		}
 		e.lastDeg = d
-		e.lastBoundary = boundaryAt(e.campaign, now)
+		e.fvBuiltEpoch = e.campaign.EpochAt(now)
 	}
 	v = &view{
 		plan:    e.plan.load(),
@@ -421,25 +421,10 @@ func degradationEmpty(d repair.Degradation) bool {
 		(d.CloudFactor == 0 || d.CloudFactor == 1)
 }
 
-// boundaryAt reports the latest campaign boundary at or before t (0 for
-// a nil campaign).
-func boundaryAt(c *chaos.Campaign, t units.Seconds) units.Seconds {
-	if c == nil {
-		return 0
-	}
-	last := units.Seconds(0)
-	for _, b := range c.Boundaries() {
-		if b <= t && b > last {
-			last = b
-		}
-	}
-	return last
-}
-
 // fvStale reports whether a campaign boundary was crossed since the
 // fault view was built. Callers hold e.mu.
 func (e *Engine) fvStale(now units.Seconds) bool {
-	return e.campaign != nil && boundaryAt(e.campaign, now) != e.lastBoundary
+	return e.campaign != nil && e.campaign.EpochAt(now) != e.fvBuiltEpoch
 }
 
 // evalRequest resolves one request against the snapshot. It is a pure

@@ -13,9 +13,10 @@ import (
 // is at or under LatencyThreshold) — evaluated at every round barrier
 // with the multi-window fast/slow burn-rate rule, and accounted per
 // chaos epoch so a campaign's fault windows can be compared against its
-// healthy ones. The windows and breach thresholds are obs.SLOConfig's
-// defaults (5 and 30 rounds, burn rates 14.4 and 6). Everything runs on the virtual clock, so burn-rate
-// trajectories (and dump triggers) are deterministic for a fixed seed.
+// healthy ones. The windows and breach thresholds are obs's constants
+// (5 and 30 rounds, burn rates 14.4 and 6). Everything runs on the
+// virtual clock, so burn-rate trajectories (and dump triggers) are
+// deterministic for a fixed seed.
 type SLOOptions struct {
 	// Enabled turns the engine on; all other fields default when zero.
 	Enabled bool
