@@ -9,6 +9,14 @@ import (
 	"idde/internal/units"
 )
 
+// Dijkstra computes single-source shortest path costs from src with
+// the production search; unreachable vertices get +Inf.
+func (g *Graph) Dijkstra(src int) []units.SecondsPerMB {
+	dist := make([]units.SecondsPerMB, g.n)
+	g.search(src, -1, dist, nil, new(costHeap))
+	return dist
+}
+
 func line(n int) *Graph {
 	g := New(n)
 	for i := 0; i+1 < n; i++ {

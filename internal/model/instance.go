@@ -16,6 +16,7 @@ package model
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"idde/internal/geo"
@@ -44,10 +45,13 @@ import (
 // evaluator result is independent of the cutoff. The cutoff only
 // decides how much is precomputed (speed) versus recomputed (memory).
 //
-// New picks whichever layout is smaller for the instance at hand: on
-// compact Table 2-scale regions the cutoff disk spans the whole map and
-// the dense matrix wins; on region-scaled large instances the CSR rows
-// are a few percent of M and the dense matrix never materializes.
+// New picks whichever layout is smaller for the instance at hand. It
+// first collects each row's support, which fixes the stored entry
+// count, then builds only the layout it keeps: on compact Table
+// 2-scale regions the cutoff disk spans the whole map, the dense
+// matrix wins and no CSR row is sorted or filled; on region-scaled
+// large instances the CSR rows are a few percent of M and the dense
+// matrix never materializes.
 type Instance struct {
 	Top   *topology.Topology
 	Wl    *workload.Workload
@@ -80,18 +84,24 @@ const DefaultCutoffFactor = 3
 
 // New validates the pieces against each other and precomputes gains,
 // choosing the smaller of the sparse CSR and dense layouts (see the
-// Instance doc). The two layouts are read-for-read identical, so the
+// Instance doc). It counts the row supports first and builds only the
+// layout it keeps. The two layouts are read-for-read identical, so the
 // choice is invisible to every consumer.
 func New(top *topology.Topology, wl *workload.Workload, rm radio.Model) (*Instance, error) {
-	in, err := NewSparse(top, wl, rm, 0)
+	in, rows, err := newSupports(top, wl, rm, 0)
 	if err != nil {
 		return nil, err
 	}
+	var nnz int64
+	for _, row := range rows {
+		nnz += int64(len(row))
+	}
 	// 12 bytes per stored entry (int32 col + float64 val) against 8 per
 	// dense cell: densify when the rows would not actually be smaller.
-	if 12*in.NNZ() >= 8*int64(top.N())*int64(top.M()) {
-		return in.Densified(), nil
+	if 12*nnz >= 8*int64(top.N())*int64(top.M()) {
+		return &Instance{Top: top, Wl: wl, Radio: rm, dense: denseGains(top, rm)}, nil
 	}
+	in.fillCSR(rows)
 	return in, nil
 }
 
@@ -102,19 +112,59 @@ func New(top *topology.Topology, wl *workload.Workload, rm radio.Model) (*Instan
 // precomputed rows. NewSparse never falls back to the dense layout —
 // callers that want the automatic choice use New.
 func NewSparse(top *topology.Topology, wl *workload.Workload, rm radio.Model, cutoff units.Meters) (*Instance, error) {
-	if err := validateInstance(top, wl); err != nil {
+	in, rows, err := newSupports(top, wl, rm, cutoff)
+	if err != nil {
 		return nil, err
+	}
+	in.fillCSR(rows)
+	return in, nil
+}
+
+// newSupports validates the pieces, resolves the cutoff and runs the
+// first half of the CSR build: per server, the users within cutoff,
+// unsorted. Rows are computed independently, so the supports (as sets)
+// are identical across GOMAXPROCS settings.
+func newSupports(top *topology.Topology, wl *workload.Workload, rm radio.Model, cutoff units.Meters) (*Instance, [][]int32, error) {
+	if err := validateInstance(top, wl); err != nil {
+		return nil, nil, err
 	}
 	rmax := top.MaxRadius()
 	if cutoff == 0 {
 		cutoff = DefaultCutoffFactor * rmax
 	}
 	if cutoff < rmax {
-		return nil, fmt.Errorf("model: interference cutoff %v is smaller than the largest coverage radius %v", cutoff, rmax)
+		return nil, nil, fmt.Errorf("model: interference cutoff %v is smaller than the largest coverage radius %v", cutoff, rmax)
 	}
 	in := &Instance{Top: top, Wl: wl, Radio: rm, cutoff: cutoff}
-	in.buildCSR()
-	return in, nil
+	n, m := top.N(), top.M()
+	if n == 0 || m == 0 {
+		return in, make([][]int32, n), nil
+	}
+	cell := float64(cutoff) / 2
+	if cell <= 0 {
+		cell = 1
+	}
+	grid := geo.NewGrid(cell)
+	for j := 0; j < m; j++ {
+		grid.Insert(j, top.Users[j].Pos)
+	}
+	// Grid.Within compares squared distances; the stored predicate is
+	// the same hypot ≤ cutoff that the fallback recompute would see, so
+	// a boundary pair is either in the row or served by the fallback —
+	// never both, never neither (query with a hair of margin, filter
+	// exactly).
+	rows := make([][]int32, n)
+	forRows(n, func(i int) {
+		us := grid.Within(top.Servers[i].Pos, cutoff+1e-6)
+		row := make([]int32, 0, len(us))
+		for _, j := range us {
+			if float64(top.Distance(i, j)) <= float64(cutoff) {
+				row = append(row, int32(j))
+			}
+		}
+		rows[i] = row
+	})
+	return in, rows, nil
 }
 
 func validateInstance(top *topology.Topology, wl *workload.Workload) error {
@@ -130,94 +180,27 @@ func validateInstance(top *topology.Topology, wl *workload.Workload) error {
 	return nil
 }
 
-// buildCSR fills the CSR rows: per server, the users within cutoff,
-// ascending, with their gains. Rows are computed independently (one
-// goroutine per slice of servers) and assembled by prefix sum, so the
-// result is identical across GOMAXPROCS settings.
-func (in *Instance) buildCSR() {
-	top := in.Top
-	n, m := top.N(), top.M()
-	in.rowStart = make([]int64, n+1)
-	if n == 0 || m == 0 {
-		return
-	}
-	cell := float64(in.cutoff) / 2
-	if cell <= 0 {
-		cell = 1
-	}
-	grid := geo.NewGrid(cell)
-	for j := 0; j < m; j++ {
-		grid.Insert(j, top.Users[j].Pos)
-	}
-
-	// Pass 1: per-row supports, in parallel. Grid.Within compares
-	// squared distances; the stored predicate is the same hypot ≤ cutoff
-	// that the fallback recompute would see, so a boundary pair is
-	// either in the row or served by the fallback — never both, never
-	// neither (query with a hair of margin, filter exactly).
-	rows := make([][]int32, n)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < n; i += workers {
-				us := grid.Within(top.Servers[i].Pos, in.cutoff+1e-6)
-				row := make([]int32, 0, len(us))
-				for _, j := range us {
-					if float64(top.Distance(i, j)) <= float64(in.cutoff) {
-						row = append(row, int32(j))
-					}
-				}
-				sortInt32s(row)
-				rows[i] = row
-			}
-		}(w)
-	}
-	wg.Wait()
-
+// fillCSR is the second half of the CSR build: it lays the supports
+// out by prefix sum, then, in parallel, sorts each row ascending and
+// computes its gains, so the result is identical across GOMAXPROCS
+// settings.
+func (in *Instance) fillCSR(rows [][]int32) {
+	in.rowStart = make([]int64, len(rows)+1)
 	for i, row := range rows {
 		in.rowStart[i+1] = in.rowStart[i] + int64(len(row))
 	}
-	nnz := in.rowStart[n]
+	nnz := in.rowStart[len(rows)]
 	in.cols = make([]int32, nnz)
 	in.vals = make([]float64, nnz)
-
-	// Pass 2: gains, in parallel over the same deterministic rows.
-	wg = sync.WaitGroup{}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < n; i += workers {
-				off := in.rowStart[i]
-				for idx, j := range rows[i] {
-					in.cols[off+int64(idx)] = j
-					in.vals[off+int64(idx)] = in.Radio.Gain(top.Distance(i, int(j)))
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// sortInt32s sorts a row support ascending in place — a shell sort, so
-// the parallel build makes no per-row closure allocations.
-func sortInt32s(a []int32) {
-	for gap := len(a) / 2; gap > 0; gap /= 2 {
-		for i := gap; i < len(a); i++ {
-			v := a[i]
-			j := i
-			for ; j >= gap && a[j-gap] > v; j -= gap {
-				a[j] = a[j-gap]
-			}
-			a[j] = v
+	forRows(len(rows), func(i int) {
+		cols := in.cols[in.rowStart[i]:in.rowStart[i+1]]
+		copy(cols, rows[i])
+		slices.Sort(cols)
+		vals := in.vals[in.rowStart[i]:in.rowStart[i+1]]
+		for idx, j := range cols {
+			vals[idx] = in.Radio.Gain(in.Top.Distance(i, int(j)))
 		}
-	}
+	})
 }
 
 // denseGains materializes the full N×M gain matrix. The expression is
@@ -227,29 +210,31 @@ func denseGains(top *topology.Topology, rm radio.Model) [][]float64 {
 	n, m := top.N(), top.M()
 	g := make([][]float64, n)
 	flat := make([]float64, n*m)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	forRows(n, func(i int) {
+		row := flat[i*m : (i+1)*m : (i+1)*m]
+		for j := 0; j < m; j++ {
+			row[j] = rm.Gain(top.Distance(i, j))
+		}
+		g[i] = row
+	})
+	return g
+}
+
+// forRows runs f(i) for every row i in [0, n) on up to GOMAXPROCS
+// goroutines, each taking a strided slice of the rows.
+func forRows(n int, f func(i int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < n; i += workers {
-				row := flat[i*m : (i+1)*m : (i+1)*m]
-				for j := 0; j < m; j++ {
-					row[j] = rm.Gain(top.Distance(i, j))
-				}
-				g[i] = row
+				f(i)
 			}
 		}(w)
 	}
 	wg.Wait()
-	return g
 }
 
 // Sparse reports whether the instance uses the CSR gain layout.
