@@ -64,15 +64,12 @@ type ScenarioConfig struct {
 	LinkSpeedMBps [2]float64
 	// CloudRateMBps is the cloud delivery speed (default 600).
 	CloudRateMBps float64
-	// IPBudget caps the IDDE-IP solver per Solve call (default 500ms).
-	IPBudget time.Duration
 }
 
 // Scenario is a concrete IDDE problem instance: a topology, a workload
 // and the radio environment.
 type Scenario struct {
-	in       *model.Instance
-	ipBudget time.Duration
+	in *model.Instance
 }
 
 // NewScenario generates a scenario from the configuration.
@@ -126,11 +123,7 @@ func NewScenario(cfg ScenarioConfig) (*Scenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	budget := cfg.IPBudget
-	if budget <= 0 {
-		budget = 500 * time.Millisecond
-	}
-	return &Scenario{in: in, ipBudget: budget}, nil
+	return &Scenario{in: in}, nil
 }
 
 // Servers, Users and DataItems report the scenario dimensions.
@@ -194,9 +187,7 @@ func (sc *Scenario) approach(name ApproachName) (baseline.Approach, error) {
 	case IDDEG:
 		return baseline.NewIDDEG(), nil
 	case IDDEIP:
-		ip := baseline.NewIDDEIP()
-		ip.Budget = sc.ipBudget
-		return ip, nil
+		return baseline.NewIDDEIP(), nil
 	case SAA:
 		return baseline.NewSAA(), nil
 	case CDP:

@@ -4,14 +4,12 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 )
 
 func testScenario(t *testing.T, seed uint64) *Scenario {
 	t.Helper()
 	sc, err := NewScenario(ScenarioConfig{
 		Servers: 15, Users: 100, DataItems: 4, Seed: seed,
-		IPBudget: 50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("NewScenario: %v", err)

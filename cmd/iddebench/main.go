@@ -15,10 +15,11 @@
 //	iddebench -fig 0 -reps 50       # everything, at the paper's budget
 //	iddebench -fig 4 -out results/  # also write CSV files
 //
-// The IDDE-IP baseline's solver budget defaults to 500ms per instance
-// (the paper caps CPLEX at 100 s; see DESIGN.md §4); raise it with
-// -ip-budget for higher-fidelity IP results, or drop IP entirely with
-// -no-ip for quick sweeps.
+// The IDDE-IP baseline's search evaluates 6,000 candidate strategies per
+// instance (the paper caps CPLEX at 100 s; see DESIGN.md §4), so every
+// output but Figure 7's times depends on -seed alone. Raise the count
+// with -ip-evals for higher-fidelity IP results, or drop IP entirely
+// with -no-ip for quick sweeps.
 //
 // Profiling:
 //
@@ -36,7 +37,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"time"
 
 	"idde/internal/baseline"
 	"idde/internal/cloudlat"
@@ -58,17 +58,17 @@ func main() {
 // always flush, even when a run fails.
 func realMain() error {
 	var (
-		fig      = flag.Int("fig", 0, "figure to regenerate: 1, 3, 4, 5, 6 or 7 (0 = all)")
-		reps     = flag.Int("reps", 10, "randomized repetitions per x value (paper: 50)")
-		seed     = flag.Uint64("seed", 2022, "master seed")
-		ipBudget = flag.Duration("ip-budget", 500*time.Millisecond, "IDDE-IP solver budget per instance")
-		noIP     = flag.Bool("no-ip", false, "skip the IDDE-IP baseline")
-		outDir   = flag.String("out", "", "directory for CSV output (optional)")
-		list     = flag.Bool("list", false, "print Table 2 and exit")
-		plot     = flag.Bool("plot", false, "also render terminal plots of each figure")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		obsAddr  = flag.String("obs", "", "serve live pprof/expvar//metrics on this address for the duration of the run (e.g. 127.0.0.1:6060)")
+		fig     = flag.Int("fig", 0, "figure to regenerate: 1, 3, 4, 5, 6 or 7 (0 = all)")
+		reps    = flag.Int("reps", 10, "randomized repetitions per x value (paper: 50)")
+		seed    = flag.Uint64("seed", 2022, "master seed")
+		ipEvals = flag.Int("ip-evals", baseline.NewIDDEIP().MaxIters, "IDDE-IP candidate evaluations per instance")
+		noIP    = flag.Bool("no-ip", false, "skip the IDDE-IP baseline")
+		outDir  = flag.String("out", "", "directory for CSV output (optional)")
+		list    = flag.Bool("list", false, "print Table 2 and exit")
+		plot    = flag.Bool("plot", false, "also render terminal plots of each figure")
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		obsAddr = flag.String("obs", "", "serve live pprof/expvar//metrics on this address for the duration of the run (e.g. 127.0.0.1:6060)")
 	)
 	flag.Parse()
 
@@ -99,7 +99,7 @@ func realMain() error {
 		defer pprof.StopCPUProfile()
 	}
 
-	err := run(*fig, *reps, *seed, *ipBudget, *noIP, *outDir, *plot, scope)
+	err := run(*fig, *reps, *seed, *ipEvals, *noIP, *outDir, *plot, scope)
 	if err == nil && *memProf != "" {
 		err = writeHeapProfile(*memProf)
 	}
@@ -118,15 +118,13 @@ func writeHeapProfile(path string) error {
 	return pprof.Lookup("heap").WriteTo(f, 0)
 }
 
-func run(fig, reps int, seed uint64, ipBudget time.Duration, noIP bool, outDir string, plot bool, scope *obs.Scope) error {
+func run(fig, reps int, seed uint64, ipEvals int, noIP bool, outDir string, plot bool, scope *obs.Scope) error {
 	cfg := experiment.Config{Reps: reps, Seed: seed, Obs: scope}
 	if noIP {
 		cfg.Approaches = baseline.Heuristics()
 	} else {
-		ip := baseline.NewIDDEIP()
-		ip.Budget = ipBudget
 		cfg.Approaches = []baseline.Approach{
-			ip, baseline.NewIDDEG(), baseline.NewSAA(), baseline.NewCDP(), baseline.NewDUPG(),
+			&baseline.IDDEIP{MaxIters: ipEvals}, baseline.NewIDDEG(), baseline.NewSAA(), baseline.NewCDP(), baseline.NewDUPG(),
 		}
 	}
 	if outDir != "" {

@@ -21,7 +21,7 @@ func injectFailure(t *testing.T, sc *Scenario, st *Strategy, servers ...int) (*S
 	if err != nil {
 		t.Fatalf("repair after failing %v: %v", servers, err)
 	}
-	degraded := &Scenario{in: degIn, ipBudget: sc.ipBudget}
+	degraded := &Scenario{in: degIn}
 	rate, lat := degIn.Evaluate(raw)
 	return degraded, &Strategy{
 		Approach:     st.Approach,

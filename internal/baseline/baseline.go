@@ -1,9 +1,10 @@
 // Package baseline implements the four comparison approaches of the
 // paper's evaluation (§4.1) behind a common interface:
 //
-//   - IDDE-IP — the IDDE model handed to a time-capped exact-style
-//     solver (the paper uses IBM CPLEX capped at 100 s; we use the
-//     anytime search of internal/solver — see DESIGN.md §4).
+//   - IDDE-IP — the IDDE model handed to a capped exact-style solver
+//     (the paper uses IBM CPLEX capped at 100 s; we use the anytime
+//     search of internal/solver, capped at an evaluation count — see
+//     DESIGN.md §4).
 //   - SAA — sample average approximation: each edge server chooses its
 //     own delivery decisions from sampled demand, maximizing a local
 //     storage utility (after Ning et al.).

@@ -74,7 +74,8 @@ func TestBuildInstanceDeterministic(t *testing.T) {
 	}
 }
 
-// smallConfig keeps harness tests fast: tiny reps, no IDDE-IP budget.
+// smallConfig keeps harness tests fast: tiny reps, a 500-evaluation
+// IDDE-IP.
 func smallConfig() Config {
 	return Config{
 		Reps: 2,
@@ -119,17 +120,14 @@ func TestRunSetShapeAndAggregation(t *testing.T) {
 // TestRunSetDeterministicMetrics runs the same set once on one
 // processor and three times on four, and requires every Rate and
 // LatencyMs summary field to match bit for bit: the fold must not
-// depend on which worker finishes a repetition first. TimeSec is wall
-// time, so only its count is compared.
+// depend on which worker finishes a repetition first, and no approach
+// (IDDE-IP at its default evaluation count included) may depend on the
+// host's speed. TimeSec is wall time, so only its count is compared.
+// The instance is tiny so the 96 default-count IDDE-IP searches stay
+// cheap under -race.
 func TestRunSetDeterministicMetrics(t *testing.T) {
-	set := Set{ID: 3, Vary: "K", Values: []float64{3, 5}, Base: Params{N: 10, M: 50, Density: 1.0}}
-	cfg := Config{
-		Reps: 12,
-		Seed: 7,
-		Approaches: []baseline.Approach{
-			baseline.NewIDDEG(), baseline.NewSAA(), baseline.NewCDP(), baseline.NewDUPG(),
-		},
-	}
+	set := Set{ID: 3, Vary: "K", Values: []float64{3, 5}, Base: Params{N: 4, M: 12, Density: 1.0}}
+	cfg := Config{Reps: 12, Seed: 7, Approaches: baseline.All()}
 	run := func(procs int) *SetResult {
 		t.Helper()
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))

@@ -57,8 +57,6 @@ type SetResult struct {
 	Set    Set
 	Config Config
 	Points []Point
-	// Elapsed is the harness wall-clock for the whole set.
-	Elapsed time.Duration
 }
 
 // BuildInstance constructs the randomized IDDE instance for one
@@ -106,7 +104,6 @@ func RunSet(set Set, cfg Config) (*SetResult, error) {
 	if len(cfg.Approaches) == 0 {
 		cfg.Approaches = baseline.All()
 	}
-	start := time.Now()
 	if cfg.Obs.Tracing() {
 		cfg.Obs.Begin("experiment", "set", map[string]any{
 			"id": set.ID, "vary": set.Vary, "xs": len(set.Values), "reps": cfg.Reps,
@@ -160,7 +157,6 @@ func RunSet(set Set, cfg Config) (*SetResult, error) {
 		}
 		sr.Points[xi] = pt
 	}
-	sr.Elapsed = time.Since(start)
 	return sr, nil
 }
 

@@ -79,8 +79,9 @@ var Set3LatencyMean = map[string]float64{
 }
 
 // Fig7MeanSeconds are §4.5.2's mean computation times in seconds. The
-// paper caps CPLEX at 100 s of search; our IDDE-IP budget is
-// configurable, so only the *ordering* is checked against this row.
+// paper caps CPLEX at 100 s of search; our IDDE-IP is capped at an
+// evaluation count instead, so only the *ordering* is checked against
+// this row.
 var Fig7MeanSeconds = map[string]float64{
 	"IDDE-IP": 135.3881, "SAA": 0.6626, "IDDE-G": 0.3620, "CDP": 0.1691, "DUP-G": 0.3716,
 }

@@ -1,15 +1,16 @@
-// Package solver provides a time-budgeted anytime search over arbitrary
-// combinatorial states: multi-start simulated annealing. It is the
-// stand-in for the IBM CPLEX CP Optimizer used by the paper's IDDE-IP
-// baseline (§4.1): like the CP optimizer with its 100-second search cap,
-// it consumes a fixed time budget and returns the best feasible
-// incumbent found, without any optimality guarantee. See DESIGN.md §4
-// for the substitution rationale.
+// Package solver provides an evaluation-capped anytime search over
+// arbitrary combinatorial states: multi-start simulated annealing. It
+// is the stand-in for the IBM CPLEX CP Optimizer used by the paper's
+// IDDE-IP baseline (§4.1): like the CP optimizer with its 100-second
+// search cap, it spends a fixed budget and returns the best feasible
+// incumbent found, without any optimality guarantee. The budget is a
+// count of candidate evaluations rather than a wall-clock time, so the
+// result depends on the seed alone, not on the host's speed or load.
+// See DESIGN.md §4 for the substitution rationale.
 package solver
 
 import (
 	"math"
-	"time"
 
 	"idde/internal/rng"
 )
@@ -28,12 +29,10 @@ type Problem[S any] interface {
 	Score(s S) float64
 }
 
-// Options bounds the search. At least one of Budget or MaxIters must be
-// set; the search stops at whichever limit is hit first.
+// Options bounds the search.
 type Options struct {
-	// Budget is the wall-clock cap (the paper caps CPLEX at 100 s).
-	Budget time.Duration
-	// MaxIters caps candidate evaluations; used for deterministic tests.
+	// MaxIters is the number of candidate evaluations the search
+	// spends (default 10000).
 	MaxIters int
 	// Seed drives all randomness.
 	Seed uint64
@@ -47,11 +46,6 @@ type Result[S any] struct {
 	// starts beyond the first.
 	Iterations int
 	Restarts   int
-	Elapsed    time.Duration
-	// HitBudget reports whether the time budget (rather than MaxIters
-	// or natural exhaustion) ended the search — the signature behaviour
-	// of the IDDE-IP baseline.
-	HitBudget bool
 }
 
 const (
@@ -69,15 +63,10 @@ const (
 // geometrically cooling temperature, and the search restarts from a
 // fresh Initial after restartAfter non-improving iterations.
 func Maximize[S any](p Problem[S], opt Options) Result[S] {
-	if opt.Budget <= 0 && opt.MaxIters <= 0 {
+	if opt.MaxIters <= 0 {
 		opt.MaxIters = 10000
 	}
 	r := rng.New(opt.Seed)
-	start := time.Now()
-	deadline := time.Time{}
-	if opt.Budget > 0 {
-		deadline = start.Add(opt.Budget)
-	}
 
 	cur := p.Initial(r.Split("init"))
 	curScore := p.Score(cur)
@@ -88,16 +77,7 @@ func Maximize[S any](p Problem[S], opt Options) Result[S] {
 	acc := r.Split("accept")
 	sinceImprove := 0
 
-	for {
-		if opt.MaxIters > 0 && res.Iterations >= opt.MaxIters {
-			break
-		}
-		// Checking the clock every iteration costs more than the
-		// mutations at small state sizes; sample it.
-		if !deadline.IsZero() && res.Iterations%64 == 0 && time.Now().After(deadline) {
-			res.HitBudget = true
-			break
-		}
+	for res.Iterations < opt.MaxIters {
 		cand := p.Clone(cur)
 		p.Mutate(cand, mut)
 		score := p.Score(cand)
@@ -132,6 +112,5 @@ func Maximize[S any](p Problem[S], opt Options) Result[S] {
 			sinceImprove = 0
 		}
 	}
-	res.Elapsed = time.Since(start)
 	return res
 }

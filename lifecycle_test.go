@@ -16,7 +16,6 @@ func TestFullLifecycle(t *testing.T) {
 	}
 	sc, err := NewScenario(ScenarioConfig{
 		Servers: 18, Users: 140, DataItems: 5, Seed: 99,
-		IPBudget: 50e6, // 50ms
 	})
 	if err != nil {
 		t.Fatal(err)
